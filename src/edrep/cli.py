@@ -8,7 +8,8 @@ its outputs.  EDREP_SEED provides the default seed.  Exit codes:
 0 success, 1 usage error, 2 validation error, 3 numeric error.
 
 Heavy numerical imports happen inside the command handlers so that
---threads can cap BLAS pools before they initialize.
+--threads can cap BLAS pools before they initialize; the same cap sizes
+the row split of the sparse chain products.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _build_parser() -> _Parser:
         for opt, (typ, default, help_text) in table.items():
             p.add_argument(f"--{opt}", type=typ, default=None, help=help_text)
         p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-        p.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
+        p.add_argument("--threads", type=int, default=None, help="cap BLAS and sparse-product worker threads")
     return parser
 
 

@@ -6,12 +6,23 @@ row-oriented (operator application, per-row gradients, row sums).
 ``ProductChain`` represents a probability operator as an ordered list of
 sparse factors that are applied right to left, so the full operator is
 never materialized.
+
+Each factor product is split into contiguous row ranges that run on a
+shared thread pool, sized by ``product_threads``; every output row is
+computed exactly as in a serial product, so results do not depend on the
+thread count.  Transposed products use an explicit CSR transpose of each
+distinct factor, built on the first call and cached on the chain, so
+they split by rows too.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import DimensionError, ValidationError
 
@@ -58,6 +69,88 @@ def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def product_threads() -> int:
+    """Threads for one sparse product: the ``OMP_NUM_THREADS`` cap that
+    ``--threads`` sets, if any, and at most the usable cores."""
+    cores = _usable_cores()
+    try:
+        cap = int(os.environ.get("OMP_NUM_THREADS", cores))
+    except ValueError:
+        cap = cores
+    return max(1, min(cap, cores))
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool_in_child() -> None:
+    # A forked child inherits the pool object but not its threads; work
+    # submitted to it would wait forever, so the child starts its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def _executor():
+    """The product thread pool, started on first use, never at import."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max_workers=max(1, _usable_cores() - 1), thread_name_prefix="edrep-spmm"
+            )
+        return _pool
+
+
+def spmm(f: sp.csr_matrix, X: np.ndarray, threads: int) -> np.ndarray:
+    """``f @ X`` for a canonical float64 CSR ``f``, on ``threads`` threads.
+
+    The rows of ``f`` are cut into ``threads`` contiguous ranges of about
+    equal nonzero count.  Each range runs scipy's CSR kernel, the one
+    behind ``f @ X``, on views of the factor's arrays and adds straight
+    into its slice of the output, so nothing is copied.  A row's
+    products are summed in the same order as in ``f @ X``, so the result
+    is bitwise the same.
+    """
+    if threads == 1:
+        return f @ X
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n, d = f.shape[0], X.shape[1]
+    out = np.zeros((n, d))
+    targets = np.arange(1, threads) * (f.nnz / threads)
+    cuts = [0, *np.searchsorted(f.indptr, targets).tolist(), n]
+    x = X.ravel()
+
+    def rows(a, b):
+        lo = f.indptr[a]
+        _sparsetools.csr_matvecs(
+            b - a, f.shape[1], d, f.indptr[a : b + 1] - lo,
+            f.indices[lo:], f.data[lo:], x, out[a:b].ravel(),
+        )
+
+    # The calling thread takes the last range itself.
+    pool = _executor()
+    futures = [pool.submit(rows, a, b) for a, b in zip(cuts[:-2], cuts[1:-1])]
+    try:
+        rows(cuts[-2], cuts[-1])
+    finally:
+        for future in futures:
+            future.result()
+    return out
+
+
 class ProductChain:
     """A linear operator given as a product (or weighted prefix sum) of sparse factors.
 
@@ -67,12 +160,22 @@ class ProductChain:
     ``sum_t weights[t] * (factors[t] @ ... @ factors[0])``; this is how
     averaged random-walk operators are stored without expanding matrix
     powers.  Application costs O(d * sum of factor nonzeros).
+
+    Factors must not be modified after construction: ``apply_transpose``
+    caches their transposes.  A matrix repeated in ``factors`` (the walk
+    operator's ``[L] * w``) is stored, and transposed, once.
     """
 
     def __init__(self, factors, weights=None):
         if not factors:
             raise ValidationError("a product chain needs at least one factor")
-        self.factors = [as_csr(f, name=f"factor {k}") for k, f in enumerate(factors)]
+        # A factor listed several times is converted once, so the copies
+        # stay one object (and share one cached transpose).
+        converted = {}
+        for k, f in enumerate(factors):
+            if id(f) not in converted:
+                converted[id(f)] = as_csr(f, name=f"factor {k}")
+        self.factors = [converted[id(f)] for f in factors]
         for k in range(1, len(self.factors)):
             need = self.factors[k - 1].shape[0]
             got = self.factors[k].shape[1]
@@ -96,6 +199,7 @@ class ProductChain:
                         f"factor {k} must be square of fixed size in a weighted chain"
                     )
             self.weights = w
+        self._transposed = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -112,15 +216,16 @@ class ProductChain:
             raise DimensionError(
                 f"operand has {X.shape[0]} rows, factor 0 expects {self.shape[1]}"
             )
+        threads = product_threads()
         if self.weights is None:
             out = X
             for f in self.factors:
-                out = f @ out
+                out = spmm(f, out, threads)
             return out
         cur = X
         acc = np.zeros((self.shape[0], X.shape[1]))
         for w, f in zip(self.weights, self.factors):
-            cur = f @ cur
+            cur = spmm(f, cur, threads)
             acc += w * cur
         return acc
 
@@ -131,16 +236,33 @@ class ProductChain:
             raise DimensionError(
                 f"operand has {X.shape[0]} rows, transposed chain expects {self.shape[0]}"
             )
+        threads = product_threads()
+        transposed = self._transposes()
         if self.weights is None:
             out = X
-            for f in reversed(self.factors):
-                out = f.T @ out
+            for ft in reversed(transposed):
+                out = spmm(ft, out, threads)
             return out
         # Horner form of sum_t w_t (F_t ... F_0)^T X.
         acc = self.weights[-1] * X
         for t in range(len(self.factors) - 2, -1, -1):
-            acc = self.weights[t] * X + self.factors[t + 1].T @ acc
-        return self.factors[0].T @ acc
+            acc = self.weights[t] * X + spmm(transposed[t + 1], acc, threads)
+        return spmm(transposed[0], acc, threads)
+
+    def _transposes(self) -> list[sp.csr_matrix]:
+        """CSR transposes of the factors, built once per distinct factor.
+
+        A row of ``f.T.tocsr()`` lists its entries in ascending column
+        order, the order in which the CSC product ``f.T @ X`` adds them,
+        so products with it are bitwise equal to that product.
+        """
+        if self._transposed is None:
+            built = {}
+            for f in self.factors:
+                if id(f) not in built:
+                    built[id(f)] = f.T.tocsr()
+            self._transposed = [built[id(f)] for f in self.factors]
+        return self._transposed
 
     def validate_stochastic(self, tol: float = ROW_STOCHASTIC_TOL) -> None:
         """Check the chain can serve as a probability operator.

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ValidationError
 from .matstore import as_dense
@@ -166,29 +167,29 @@ def kmeans_label(
     if kappa == 1:
         return LabelVector(np.ones(n, dtype=np.int64), 1)
     rng = np.random.default_rng(seed)
+    sq_norms = np.sum(Y * Y, axis=1)
     best_labels, best_inertia = None, np.inf
     for _ in range(max(1, restarts)):
-        labels, inertia = _lloyd(Y, kappa, rng, max_iter)
+        labels, inertia = _lloyd(Y, sq_norms, kappa, rng, max_iter)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return LabelVector(best_labels + 1, kappa)
 
 
-def _sq_dists(Y, centers):
+def _sq_dists(Y, sq_norms, centers):
     # ||y||^2 - 2 y.c + ||c||^2, clipped at 0 against roundoff
-    d2 = (
-        np.sum(Y * Y, axis=1)[:, None]
-        - 2.0 * (Y @ centers.T)
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    d2 = Y @ centers.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += np.sum(centers * centers, axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _plus_plus_centers(Y, k, rng):
+def _plus_plus_centers(Y, sq_norms, k, rng):
     n = Y.shape[0]
     centers = np.empty((k, Y.shape[1]))
     centers[0] = Y[rng.integers(n)]
-    d2 = _sq_dists(Y, centers[:1]).ravel()
+    d2 = _sq_dists(Y, sq_norms, centers[:1]).ravel()
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -196,30 +197,42 @@ def _plus_plus_centers(Y, k, rng):
         else:
             idx = rng.integers(n)
         centers[c] = Y[idx]
-        d2 = np.minimum(d2, _sq_dists(Y, centers[c : c + 1]).ravel())
+        d2 = np.minimum(d2, _sq_dists(Y, sq_norms, centers[c : c + 1]).ravel())
     return centers
 
 
-def _lloyd(Y, k, rng, max_iter):
+def _class_means(Y, labels, k):
+    """Mean row of each class in 0..k-1, as one class-indicator product.
+
+    The indicator is stored by columns, one entry per row of ``Y``, so the
+    product adds the rows of each class in ascending order, as
+    ``Y[labels == j].mean(axis=0)`` does.  It reads ``Y`` once, in order.
+    """
+    n = labels.size
+    indicator = sp.csc_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(k, n))
+    counts = np.bincount(labels, minlength=k)
+    return (indicator @ Y) / counts[:, None]
+
+
+def _lloyd(Y, sq_norms, k, rng, max_iter):
     n = Y.shape[0]
-    centers = _plus_plus_centers(Y, k, rng)
+    centers = _plus_plus_centers(Y, sq_norms, k, rng)
     labels = None
     for _ in range(max_iter):
-        dists = _sq_dists(Y, centers)
+        dists = _sq_dists(Y, sq_norms, centers)
         new = np.argmin(dists, axis=1)
         counts = np.bincount(new, minlength=k)
         if np.any(counts == 0):
-            own = dists[np.arange(n), new].copy()
+            own = dists[np.arange(n), new]
             for j in np.flatnonzero(counts == 0):
                 far = int(np.argmax(own))
                 new[far] = j
                 own[far] = -np.inf
         if labels is not None and np.array_equal(labels, new):
-            labels = new
             break
         labels = new
-        for j in range(k):
-            centers[j] = Y[labels == j].mean(axis=0)
-    centers = np.vstack([Y[labels == j].mean(axis=0) for j in range(k)])
+        # The centers always belong to the final labels: a converged
+        # iteration leaves both unchanged.
+        centers = _class_means(Y, labels, k)
     inertia = float(np.sum((Y - centers[labels]) ** 2))
     return labels, inertia

@@ -79,8 +79,7 @@ class GradientMatrix:
         norms = np.linalg.norm(gp, axis=1)
         scale = np.maximum(np.linalg.norm(self.g, axis=1), 1.0)
         mask = norms > TANGENT_FLOOR * scale
-        out = np.zeros_like(gp)
-        out[mask] = gp[mask] / norms[mask, None]
+        out = np.divide(gp, norms[:, None], out=np.zeros_like(gp), where=mask[:, None])
         return out, mask
 
 
@@ -234,10 +233,13 @@ def sphere_step(X: np.ndarray, g, eta: float) -> np.ndarray:
     if eta == 0.0:
         return X.copy()
     gpp, mask = grad.unit_tangential(X)
-    out = X.copy()
-    moved = np.sqrt(1.0 - eta * eta) * X[mask] - eta * gpp[mask]
-    out[mask] = moved / np.linalg.norm(moved, axis=1)[:, None]
-    return out
+    moved = np.sqrt(1.0 - eta * eta) * X - eta * gpp
+    norms = np.linalg.norm(moved, axis=1)
+    return np.divide(moved, norms[:, None], out=X.copy(), where=mask[:, None])
+
+
+def _single_class(n: int) -> LabelVector:
+    return LabelVector(np.ones(n, dtype=np.int64), 1)
 
 
 def _resolve_labels(n: int, cfg: OptimizerConfig, labels, first_pass):
@@ -256,7 +258,7 @@ def _resolve_labels(n: int, cfg: OptimizerConfig, labels, first_pass):
             )
         return labels
     if cfg.kappa == 1:
-        return LabelVector(np.ones(n, dtype=np.int64), 1)
+        return _single_class(n)
     warm = first_pass(replace(cfg, kappa=1))
     return kmeans_label(warm, cfg.kappa, seed=cfg.seed)
 
@@ -290,10 +292,35 @@ def fit(
     n = chain.shape[0]
     p0 = uniform_weights(n) if p0 is None else validate_regularization_weights(p0, n)
     labels = _resolve_labels(
-        n, cfg, labels, lambda c: fit(chain, c, p0=p0).X
+        n, cfg, labels, lambda c: _descend(chain, c, p0, _single_class(n))[0]
     )
-    pi = labels.counts() / n
+    X, rows, trajectory = _descend(
+        chain, cfg, p0, labels, record_trajectory, log_exact_loss, on_epoch
+    )
+    mu, omega = class_moments(X, labels)
+    params = MixtureParams(pi=labels.counts() / n, mu=mu, omega=omega, m=n)
+    final_approx = mixture_loss(X, chain, p0, params)
+    final_exact = exact_loss(X, chain, p0) if log_exact_loss else np.nan
+    rows.append((cfg.n_epochs, 0.0, final_approx, final_exact))
+    return FitResult(X=X, labels=labels, log=np.array(rows), trajectory=trajectory)
 
+
+def _descend(
+    chain,
+    cfg: OptimizerConfig,
+    p0: np.ndarray,
+    labels: LabelVector,
+    record_trajectory: bool = False,
+    log_exact_loss: bool = False,
+    on_epoch=None,
+):
+    """The epoch loop of :func:`fit` on a validated operator and labels.
+
+    Returns the final iterate, the per-epoch log rows and the trajectory
+    (None unless recorded).
+    """
+    n = chain.shape[0]
+    pi = labels.counts() / n
     rng = np.random.default_rng(cfg.seed)
     X = _unit_rows(rng.standard_normal((n, cfg.d)))
     _assert_unit_rows(X, "after initialization")
@@ -324,12 +351,7 @@ def fit(
             trajectory.append(X.copy())
         if on_epoch is not None:
             on_epoch(t, X)
-    mu, omega = class_moments(X, labels)
-    params = MixtureParams(pi=pi, mu=mu, omega=omega, m=n)
-    final_approx = mixture_loss(X, chain, p0, params)
-    final_exact = exact_loss(X, chain, p0) if log_exact_loss else np.nan
-    rows.append((cfg.n_epochs, 0.0, final_approx, final_exact))
-    return FitResult(X=X, labels=labels, log=np.array(rows), trajectory=trajectory)
+    return X, rows, trajectory
 
 
 def fit_exact(
@@ -376,8 +398,7 @@ def fit_exact(
         if on_epoch is not None:
             on_epoch(t, X)
     rows.append((cfg.n_epochs, 0.0, np.nan, exact_loss(X, chain, p0)))
-    labels = LabelVector(np.ones(n, dtype=np.int64), 1)
-    return FitResult(X=X, labels=labels, log=np.array(rows), trajectory=trajectory)
+    return FitResult(X=X, labels=_single_class(n), log=np.array(rows), trajectory=trajectory)
 
 
 def exact_loss_asymmetric(X, Y, P, p0) -> float:

@@ -1,15 +1,25 @@
 """Containers, product chains, row normalization and rescaling."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edrep import matstore
 from edrep.errors import DimensionError, ValidationError
+from edrep.graphs import walk_operator
 from edrep.matstore import (
     ProductChain,
     as_chain,
+    product_threads,
     rescale_embedding,
     row_normalize,
+    spmm,
     uniform_weights,
     validate_regularization_weights,
 )
@@ -94,6 +104,131 @@ class TestChainApply:
     def test_weight_count_must_match(self):
         with pytest.raises(DimensionError):
             ProductChain([sp.eye(3, format="csr")], weights=[0.5, 0.5])
+
+
+def serial_apply(chain, X):
+    """Oracle: the single-threaded chain product, one scipy product per factor."""
+    if chain.weights is None:
+        for f in chain.factors:
+            X = f @ X
+        return X
+    cur, acc = X, np.zeros((chain.shape[0], X.shape[1]))
+    for w, f in zip(chain.weights, chain.factors):
+        cur = f @ cur
+        acc += w * cur
+    return acc
+
+
+def serial_apply_transpose(chain, X):
+    """Oracle: the transposed chain through scipy's CSC products ``f.T @ X``."""
+    if chain.weights is None:
+        for f in reversed(chain.factors):
+            X = f.T @ X
+        return X
+    acc = chain.weights[-1] * X
+    for t in range(len(chain.factors) - 2, -1, -1):
+        acc = chain.weights[t] * X + chain.factors[t + 1].T @ acc
+    return chain.factors[0].T @ acc
+
+
+def sparse_with_empty_rows(rows, cols, density, seed):
+    A = random_sparse(rows, cols, density, seed).tolil()
+    A[:: 3] = 0.0
+    return A.tocsr()
+
+
+class TestRowSplitProducts:
+    """Row-split products are bitwise equal to the serial scipy products."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=2, max_size=4),
+        d=st.integers(1, 5),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        threads=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_unweighted_rectangular_chain(self, sizes, d, density, threads, seed):
+        factors = [
+            sparse_with_empty_rows(sizes[k + 1], sizes[k], density, seed + k)
+            for k in range(len(sizes) - 1)
+        ]
+        chain = ProductChain(factors)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((sizes[0], d))
+        Y = rng.standard_normal((sizes[-1], d))
+        expected = serial_apply_transpose(chain, Y).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matstore, "product_threads", lambda: threads)
+            assert chain.apply(X).tobytes() == serial_apply(chain, X).tobytes()
+            assert chain.apply_transpose(Y).tobytes() == expected
+            # The second call reads the cached transposes.
+            assert chain.apply_transpose(Y).tobytes() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        w=st.integers(1, 4),
+        d=st.integers(1, 5),
+        threads=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_weighted_walk_chain(self, n, w, d, threads, seed):
+        L = row_normalize(sparse_with_empty_rows(n, n, 0.2, seed))
+        chain = ProductChain([L] * w, weights=np.random.default_rng(seed).random(w))
+        X = np.random.default_rng(seed + 1).standard_normal((n, d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matstore, "product_threads", lambda: threads)
+            assert chain.apply(X).tobytes() == serial_apply(chain, X).tobytes()
+            assert chain.apply_transpose(X).tobytes() == serial_apply_transpose(chain, X).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
+    def test_fewer_rows_than_threads(self, threads):
+        A = sp.csr_matrix(np.array([[0.0, 2.0], [1.5, 0.0]]))
+        X = np.arange(6.0).reshape(2, 3)
+        assert spmm(A, X, threads).tobytes() == (A @ X).tobytes()
+        B = sp.csr_matrix((1, 2))
+        assert spmm(B, X, threads).tobytes() == (B @ X).tobytes()
+
+    def test_repeated_factor_is_stored_and_transposed_once(self):
+        A = random_sparse(30, 30, 0.2, 3) + sp.eye(30)
+        chain = walk_operator(A, 3)
+        assert chain.factors[0] is chain.factors[1] is chain.factors[2]
+        chain.apply_transpose(np.ones((30, 2)))
+        assert len({id(t) for t in chain._transposed}) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(matstore, "product_threads", lambda: 2)
+        chain = ProductChain([random_sparse(50, 50, 0.2, 5)])
+        X = np.ones((50, 3))
+        expected = chain.apply(X)  # starts the pool in this process
+        pid = os.fork()
+        if pid == 0:
+            ok = chain.apply(X).tobytes() == expected.tobytes()
+            os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("product in a forked child did not finish")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_thread_count_follows_omp_cap(self, monkeypatch):
+        cores = matstore._usable_cores()
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert product_threads() == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", str(cores + 7))
+        assert product_threads() == cores
+        monkeypatch.setenv("OMP_NUM_THREADS", "not-a-number")
+        assert product_threads() == cores
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert product_threads() == cores
 
 
 class TestStochasticValidation:

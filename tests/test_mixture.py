@@ -4,14 +4,81 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edrep.errors import ValidationError
 from edrep.mixture import (
     LabelVector,
+    _class_means,
     estimate_mixture,
     kmeans_label,
     singleton_mixture,
 )
+
+
+# Reference k-means: the per-class masked-mean Lloyd iteration that
+# ``kmeans_label`` must reproduce label for label.
+
+
+def reference_kmeans(Y, kappa, seed, max_iter=100, restarts=1):
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(max(1, restarts)):
+        labels, inertia = _reference_lloyd(Y, kappa, rng, max_iter)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels + 1
+
+
+def _reference_sq_dists(Y, centers):
+    d2 = (
+        np.sum(Y * Y, axis=1)[:, None]
+        - 2.0 * (Y @ centers.T)
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _reference_plus_plus_centers(Y, k, rng):
+    n = Y.shape[0]
+    centers = np.empty((k, Y.shape[1]))
+    centers[0] = Y[rng.integers(n)]
+    d2 = _reference_sq_dists(Y, centers[:1]).ravel()
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[c] = Y[idx]
+        d2 = np.minimum(d2, _reference_sq_dists(Y, centers[c : c + 1]).ravel())
+    return centers
+
+
+def _reference_lloyd(Y, k, rng, max_iter):
+    n = Y.shape[0]
+    centers = _reference_plus_plus_centers(Y, k, rng)
+    labels = None
+    for _ in range(max_iter):
+        dists = _reference_sq_dists(Y, centers)
+        new = np.argmin(dists, axis=1)
+        counts = np.bincount(new, minlength=k)
+        if np.any(counts == 0):
+            own = dists[np.arange(n), new].copy()
+            for j in np.flatnonzero(counts == 0):
+                far = int(np.argmax(own))
+                new[far] = j
+                own[far] = -np.inf
+        if labels is not None and np.array_equal(labels, new):
+            labels = new
+            break
+        labels = new
+        for j in range(k):
+            centers[j] = Y[labels == j].mean(axis=0)
+    centers = np.vstack([Y[labels == j].mean(axis=0) for j in range(k)])
+    inertia = float(np.sum((Y - centers[labels]) ** 2))
+    return labels, inertia
 
 
 class TestLabelVector:
@@ -87,6 +154,88 @@ class TestKmeansLabel:
             kmeans_label(Y, 5, seed=0)
         with pytest.raises(ValidationError):
             kmeans_label(Y, 0, seed=0)
+
+
+def clustered_rows(n, d, distinct, seed):
+    """``n`` rows drawn, with repeats, from ``distinct`` random points plus noise
+    on half of them, so duplicate rows and ties are common."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((distinct, d)) * 3.0
+    Y = points[rng.integers(0, distinct, n)]
+    noisy = rng.random(n) < 0.5
+    Y[noisy] += 0.1 * rng.standard_normal((int(noisy.sum()), d))
+    return Y
+
+
+class TestKmeansOracle:
+    """``kmeans_label`` against the masked-mean reference above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        d=st.integers(2, 6),
+        distinct=st.integers(1, 12),
+        kappa_gap=st.integers(0, 5),
+        restarts=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_labels_identical_to_reference(self, n, d, distinct, kappa_gap, restarts, seed):
+        # kappa ranges up to n itself; few distinct rows force empty-cluster repair.
+        kappa = max(2, n - kappa_gap) if seed % 2 else min(n, 2 + kappa_gap)
+        Y = clustered_rows(n, d, distinct, seed)
+        expected = reference_kmeans(Y, kappa, seed, restarts=restarts)
+        got = kmeans_label(Y, kappa, seed=seed, restarts=restarts)
+        np.testing.assert_array_equal(got.labels, expected)
+
+    def test_empty_cluster_repair_matches_reference(self):
+        # One location repeated 12 times and one other point: every k-means++
+        # center is a duplicate, so the first iteration empties classes.
+        Y = np.vstack([np.ones((12, 3)), np.zeros((1, 3))])
+        for seed in range(5):
+            got = kmeans_label(Y, 4, seed=seed, restarts=3)
+            np.testing.assert_array_equal(got.labels, reference_kmeans(Y, 4, seed, restarts=3))
+
+    def test_larger_instance_with_restarts(self):
+        Y = clustered_rows(3000, 8, 20, 4)
+        for kappa, restarts in ((5, 1), (8, 3)):
+            np.testing.assert_array_equal(
+                kmeans_label(Y, kappa, seed=kappa, restarts=restarts).labels,
+                reference_kmeans(Y, kappa, kappa, restarts=restarts),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(2, 8),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_class_means_bitwise_equal_masked_means(self, n, d, k, seed):
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((n, d))
+        k = min(k, n)
+        labels = rng.permutation(np.arange(n) % k)
+        expected = np.vstack([Y[labels == j].mean(axis=0) for j in range(k)])
+        assert _class_means(Y, labels, k).tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), k=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_class_means_in_one_dimension(self, n, k, seed):
+        # With d = 1 the masked mean reduces one contiguous column, which
+        # numpy sums pairwise; the indicator product adds the rows in order.
+        # The two sums differ in the last bits only: for nonnegative rows
+        # each is within (m - 1) ulp-sized relative errors of the exact sum
+        # of m terms, so they agree to 2 (m - 1) eps relative.
+        rng = np.random.default_rng(seed)
+        Y = rng.random((n, 1))
+        k = min(k, n)
+        labels = rng.permutation(np.arange(n) % k)
+        got = _class_means(Y, labels, k)
+        for j in range(k):
+            members = Y[labels == j]
+            expected = members.mean(axis=0)
+            bound = 2 * max(members.shape[0] - 1, 1) * np.finfo(float).eps
+            np.testing.assert_allclose(got[j], expected, rtol=bound, atol=0)
 
 
 class TestEstimateMixture:

@@ -5,11 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edrep.errors import ValidationError
 from edrep.matstore import ProductChain, rescale_embedding, row_normalize
 from edrep.mixture import LabelVector, estimate_mixture, kmeans_label, singleton_mixture
 from edrep.optimizer import (
+    TANGENT_FLOOR,
     GradientMatrix,
     OptimizerConfig,
     approx_gradient,
@@ -186,6 +189,37 @@ class TestSphereStep:
         gpp, mask = grad.unit_tangential(X)
         assert np.abs(np.einsum("ij,ij->i", gpp[mask], X[mask])).max() < 1e-9
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 6),
+        eta=st.sampled_from([1e-3, 0.3, 0.7, 1.0]),
+        frozen_share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_masked_reference_bitwise(self, n, d, eta, frozen_share, seed):
+        """Oracle: the update written with boolean-mask copies of the moving rows."""
+        rng = np.random.default_rng(seed)
+        X = unit_rows(rng, n, d)
+        g = rng.standard_normal((n, d))
+        frozen = rng.random(n) < frozen_share
+        g[frozen] = 2.0 * X[frozen]  # radial rows have no tangential part
+
+        gp = g - np.einsum("ij,ij->i", g, X)[:, None] * X
+        norms = np.linalg.norm(gp, axis=1)
+        mask = norms > TANGENT_FLOOR * np.maximum(np.linalg.norm(g, axis=1), 1.0)
+        gpp = np.zeros_like(gp)
+        gpp[mask] = gp[mask] / norms[mask, None]
+        expected = X.copy()
+        moved = np.sqrt(1.0 - eta * eta) * X[mask] - eta * gpp[mask]
+        expected[mask] = moved / np.linalg.norm(moved, axis=1)[:, None]
+
+        got_gpp, got_mask = GradientMatrix(g).unit_tangential(X)
+        np.testing.assert_array_equal(got_mask, mask)
+        assert got_gpp.tobytes() == gpp.tobytes()
+        with np.errstate(all="raise"):
+            assert sphere_step(X, g, eta).tobytes() == expected.tobytes()
+
     def test_rate_outside_unit_interval_rejected(self):
         X = np.array([[1.0, 0.0]])
         with pytest.raises(ValidationError):
@@ -229,6 +263,29 @@ class TestFit:
         result = fit(P, cfg)
         assert result.labels.kappa == 4
         assert result.labels.counts().min() >= 1
+
+    def test_two_pass_equals_explicit_warm_run_then_labels(self):
+        """Oracle: the two-pass workflow spelled out with public calls."""
+        P = random_operator(80, 28)
+        cfg = OptimizerConfig(d=6, eta0=0.7, n_epochs=5, kappa=3, seed=4)
+        warm = fit(P, replace(cfg, kappa=1)).X
+        expected = fit(P, cfg, labels=kmeans_label(warm, 3, seed=cfg.seed))
+        result = fit(P, cfg)
+        np.testing.assert_array_equal(result.labels.labels, expected.labels.labels)
+        assert result.X.tobytes() == expected.X.tobytes()
+        assert result.log.tobytes() == expected.log.tobytes()
+
+    def test_two_pass_validates_the_operator_once(self, monkeypatch):
+        calls = []
+        original = ProductChain.validate_stochastic
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProductChain, "validate_stochastic", counting)
+        fit(random_operator(40, 29), OptimizerConfig(d=4, n_epochs=2, kappa=2, seed=1))
+        assert len(calls) == 1
 
     def test_provided_labels_are_respected(self):
         P = random_operator(30, 26)
