@@ -44,11 +44,11 @@ _EXPORTS = {
     "concentration_probe": "znorm",
     "zeta_matrix": "znorm",
     "OptimizerConfig": "optimizer",
-    "GradientMatrix": "optimizer",
     "FitResult": "optimizer",
     "exact_loss": "optimizer",
     "mixture_loss": "optimizer",
     "approx_gradient": "optimizer",
+    "unit_tangential": "optimizer",
     "sphere_step": "optimizer",
     "fit": "optimizer",
     "fit_exact": "optimizer",

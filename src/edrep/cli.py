@@ -258,10 +258,9 @@ def _cmd_estimate_z(resolved: dict) -> int:
 
 def _run_fit(resolved: dict, exact: bool) -> int:
     from . import io as eio
-    from .optimizer import OptimizerConfig, fit, fit_exact
+    from .optimizer import LOG_COLUMNS, OptimizerConfig, fit, fit_exact
 
     chain = _load_operator(resolved["operator"])
-    chain.validate_stochastic()
     cfg = OptimizerConfig(
         d=resolved["dim"],
         eta0=resolved["eta0"],
@@ -270,24 +269,27 @@ def _run_fit(resolved: dict, exact: bool) -> int:
         seed=resolved["seed"],
     )
     out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # The fit validates the operator; the output directory is made only
+    # once there is something to write into it.
     on_epoch = None
     every = resolved.get("checkpoint-every", 0)
     if every:
         def on_epoch(t, X):
             if (t + 1) % every == 0:
+                out_dir.mkdir(parents=True, exist_ok=True)
                 eio.save_dense_binary(out_dir / f"embedding_epoch{t + 1:04d}.edr1", X)
 
     if exact:
         result = fit_exact(chain, cfg, on_epoch=on_epoch)
     else:
         result = fit(chain, cfg, on_epoch=on_epoch)
+    out_dir.mkdir(parents=True, exist_ok=True)
     eio.save_dense_binary(out_dir / "embedding.edr1", result.X)
     eio.save_table_csv(
         out_dir / "training_log.csv",
         [(int(epoch), eta, al, xl) for epoch, eta, al, xl in result.log],
-        header=["epoch", "eta", "approx_loss", "exact_loss"],
+        header=list(LOG_COLUMNS),
     )
     eio.save_labels(out_dir / "labels.txt", result.labels)
     _write_manifest(out_dir, "fit-exact" if exact else "fit", resolved)

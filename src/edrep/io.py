@@ -111,13 +111,6 @@ def load_temporal_csv(path):
     return TemporalEdgeList(i=i, j=j, t=t, w=w)
 
 
-def save_dcsbm_instance(out_dir, instance) -> None:
-    """Write a sampled block-model graph as adjacency.mtx plus labels.txt."""
-    out_dir = Path(out_dir)
-    save_sparse_mm(out_dir / "adjacency.mtx", instance.adjacency)
-    save_labels(out_dir / "labels.txt", instance.labels)
-
-
 def save_table_csv(path, rows, header: list[str]) -> None:
     """Write a tidy table with a one-line header; floats use repr precision."""
     with open(path, "w", newline="") as fh:

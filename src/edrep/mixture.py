@@ -155,8 +155,9 @@ def kmeans_label(
 
     Deterministic given ``seed``.  Iteration stops when no label changes.
     Clusters that empty out are repaired by stealing the point currently
-    farthest from its own centroid.  With ``restarts`` > 1, the labeling
-    with the lowest within-cluster sum of squares is kept.
+    farthest from its own centroid among the classes with at least two
+    members, so a repair never empties another class.  With ``restarts``
+    > 1, the labeling with the lowest within-cluster sum of squares is kept.
     """
     Y = as_dense(Y)
     n = Y.shape[0]
@@ -225,9 +226,11 @@ def _lloyd(Y, sq_norms, k, rng, max_iter):
         if np.any(counts == 0):
             own = dists[np.arange(n), new]
             for j in np.flatnonzero(counts == 0):
-                far = int(np.argmax(own))
+                # Some class has two members while one is empty, as k <= n.
+                far = int(np.argmax(np.where(counts[new] > 1, own, -np.inf)))
+                counts[new[far]] -= 1
+                counts[j] += 1
                 new[far] = j
-                own[far] = -np.inf
         if labels is not None and np.array_equal(labels, new):
             break
         labels = new

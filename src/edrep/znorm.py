@@ -116,15 +116,6 @@ def exact_z(
     return ZEstimate(out, "exact", includes_self=symmetric and include_self)
 
 
-def scalar_products(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Raw samples x . y_a for one query row, for external diagnostics."""
-    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    Y = as_dense(Y, name="Y")
-    if x.size != Y.shape[1]:
-        raise DimensionError(f"query has d={x.size}, keys have d={Y.shape[1]}")
-    return Y @ x
-
-
 def zeta_matrix(X: np.ndarray, params: MixtureParams) -> np.ndarray:
     """Per-row, per-class terms pi_a * exp(x.mu_a + x.Omega_a.x / 2).
 

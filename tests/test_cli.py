@@ -139,6 +139,17 @@ class TestFit:
         X = eio.load_dense_binary(out / "embedding.edr1")
         assert np.abs(np.linalg.norm(X, axis=1) - 1.0).max() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "command", [("fit", "--kappa", 2), ("fit-exact",)], ids=["fit", "fit-exact"]
+    )
+    def test_operator_validated_once(self, command, operator_mtx, tmp_path, validation_calls):
+        code = run(
+            *command, "--operator", operator_mtx, "--dim", 4, "--epochs", 2,
+            "--out", tmp_path / "run",
+        )
+        assert code == EXIT_OK
+        assert len(validation_calls) == 1
+
     def test_non_stochastic_operator_reports_rows(self, tmp_path, capsys):
         bad = sp.csr_matrix(np.array([[0.5, 0.5], [0.4, 0.4]]))
         path = tmp_path / "bad.mtx"

@@ -100,20 +100,6 @@ def test_missing_files_raise_validation_errors(tmp_path):
             loader(tmp_path / "missing.file")
 
 
-def test_dcsbm_instance_written_as_matrix_plus_labels(tmp_path):
-    from edrep.graphs import DcsbmParams, dcsbm_sample
-
-    inst = dcsbm_sample(
-        DcsbmParams(n=120, q=2, c=6.0, alpha=2.0, theta_recipe="unit", seed=0)
-    )
-    eio.save_dcsbm_instance(tmp_path, inst)
-    A = eio.load_sparse_mm(tmp_path / "adjacency.mtx")
-    assert (A != inst.adjacency).nnz == 0
-    np.testing.assert_array_equal(
-        eio.load_labels(tmp_path / "labels.txt"), inst.labels.labels
-    )
-
-
 def test_table_csv_is_deterministic(tmp_path):
     rows = [(1, 0.1234567890123456789, 3.0)]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

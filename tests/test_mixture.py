@@ -1,6 +1,7 @@
 """Clustering labels and per-class moment estimation."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from edrep.mixture import (
 
 
 # Reference k-means: the per-class masked-mean Lloyd iteration that
-# ``kmeans_label`` must reproduce label for label.
+# ``kmeans_label`` must reproduce label for label.  An empty class steals
+# the point farthest from its centroid among classes with two or more
+# members, so no repair empties another class.
 
 
 def reference_kmeans(Y, kappa, seed, max_iter=100, restarts=1):
@@ -67,9 +70,11 @@ def _reference_lloyd(Y, k, rng, max_iter):
         if np.any(counts == 0):
             own = dists[np.arange(n), new].copy()
             for j in np.flatnonzero(counts == 0):
-                far = int(np.argmax(own))
+                movable = np.flatnonzero(counts[new] >= 2)
+                far = int(movable[np.argmax(own[movable])])
+                counts[new[far]] -= 1
+                counts[j] += 1
                 new[far] = j
-                own[far] = -np.inf
         if labels is not None and np.array_equal(labels, new):
             labels = new
             break
@@ -194,6 +199,28 @@ class TestKmeansOracle:
         for seed in range(5):
             got = kmeans_label(Y, 4, seed=seed, restarts=3)
             np.testing.assert_array_equal(got.labels, reference_kmeans(Y, 4, seed, restarts=3))
+
+    def test_repair_never_empties_a_class(self, monkeypatch):
+        # A repair that steals the only member of a class empties it: its
+        # center becomes 0/0 = NaN, and on these rows the labels then
+        # alternate between two states for all max_iter iterations.
+        from edrep import mixture
+
+        centers = []
+        original = mixture._class_means
+
+        def recording(*args):
+            centers.append(original(*args))
+            return centers[-1]
+
+        monkeypatch.setattr(mixture, "_class_means", recording)
+        Y = clustered_rows(16, 3, 4, 1)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = kmeans_label(Y, 16, seed=1, max_iter=100)
+        assert len(centers) < 100  # a converged iteration computes no centers
+        assert all(np.isfinite(c).all() for c in centers)
+        np.testing.assert_array_equal(got.counts(), np.ones(16, dtype=np.int64))
 
     def test_larger_instance_with_restarts(self):
         Y = clustered_rows(3000, 8, 20, 4)

@@ -9,22 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edrep.errors import ValidationError
-from edrep.matstore import ProductChain, rescale_embedding, row_normalize
+from edrep.matstore import ProductChain, rescale_embedding, row_normalize, uniform_weights
 from edrep.mixture import LabelVector, estimate_mixture, kmeans_label, singleton_mixture
 from edrep.optimizer import (
     TANGENT_FLOOR,
-    GradientMatrix,
     OptimizerConfig,
     approx_gradient,
     exact_loss,
-    exact_loss_asymmetric,
     fit,
     fit_asymmetric,
     fit_exact,
     mixture_loss,
-    mixture_loss_asymmetric,
     softmax_weighted_term,
     sphere_step,
+    unit_tangential,
 )
 from edrep.znorm import zeta_matrix
 
@@ -99,7 +97,7 @@ class TestApproxGradient:
         p0 = rng.random(n)
         p0 /= p0.sum()
         params = estimate_mixture(X, kmeans_label(X, 3, seed=1))
-        g = approx_gradient(X, P, p0, params).g
+        g = approx_gradient(X, P, p0, params)
         h = 1e-5
         fd = np.zeros_like(X)
         for i in range(n):
@@ -129,7 +127,7 @@ class TestApproxGradient:
             np.zeros((n, d)), LabelVector(np.ones(n, dtype=int), 1)
         )
         p0 = np.full(n, 1.0 / n)
-        g = approx_gradient(X, chain, p0, params).g
+        g = approx_gradient(X, chain, p0, params)
         expected = -2.0 * X + 2.0 * np.outer(np.ones(n), X.mean(axis=0))
         np.testing.assert_allclose(g, expected, atol=1e-12)
 
@@ -164,9 +162,9 @@ class TestSphereStep:
     def test_full_rate_jumps_to_negative_unit_tangent(self):
         rng = np.random.default_rng(7)
         X = unit_rows(rng, 8, 3)
-        grad = GradientMatrix(rng.standard_normal((8, 3)))
-        gpp, mask = grad.unit_tangential(X)
-        out = sphere_step(X, grad, 1.0)
+        g = rng.standard_normal((8, 3))
+        gpp, mask = unit_tangential(g, X)
+        out = sphere_step(X, g, 1.0)
         assert mask.all()
         np.testing.assert_allclose(out, -gpp, atol=1e-14)
 
@@ -185,8 +183,7 @@ class TestSphereStep:
     def test_unit_tangent_orthogonal_to_rows(self):
         rng = np.random.default_rng(10)
         X = unit_rows(rng, 30, 5)
-        grad = GradientMatrix(rng.standard_normal((30, 5)))
-        gpp, mask = grad.unit_tangential(X)
+        gpp, mask = unit_tangential(rng.standard_normal((30, 5)), X)
         assert np.abs(np.einsum("ij,ij->i", gpp[mask], X[mask])).max() < 1e-9
 
     @settings(max_examples=50, deadline=None)
@@ -214,7 +211,7 @@ class TestSphereStep:
         moved = np.sqrt(1.0 - eta * eta) * X[mask] - eta * gpp[mask]
         expected[mask] = moved / np.linalg.norm(moved, axis=1)[:, None]
 
-        got_gpp, got_mask = GradientMatrix(g).unit_tangential(X)
+        got_gpp, got_mask = unit_tangential(g, X)
         np.testing.assert_array_equal(got_mask, mask)
         assert got_gpp.tobytes() == gpp.tobytes()
         with np.errstate(all="raise"):
@@ -275,17 +272,19 @@ class TestFit:
         assert result.X.tobytes() == expected.X.tobytes()
         assert result.log.tobytes() == expected.log.tobytes()
 
-    def test_two_pass_validates_the_operator_once(self, monkeypatch):
-        calls = []
-        original = ProductChain.validate_stochastic
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ProductChain, "validate_stochastic", counting)
+    def test_two_pass_validates_the_operator_once(self, validation_calls):
         fit(random_operator(40, 29), OptimizerConfig(d=4, n_epochs=2, kappa=2, seed=1))
-        assert len(calls) == 1
+        assert len(validation_calls) == 1
+
+    def test_final_log_row_equals_the_losses_of_the_result(self):
+        P = random_operator(50, 30)
+        cfg = OptimizerConfig(d=5, eta0=0.7, n_epochs=4, kappa=3, seed=6)
+        result = fit(P, cfg, log_exact_loss=True)
+        p0 = uniform_weights(50)
+        params = estimate_mixture(result.X, result.labels)
+        assert result.log[-1, 2] == mixture_loss(result.X, P, p0, params)
+        assert result.log[-1, 3] == exact_loss(result.X, P, p0)
+        assert result.Y is None
 
     def test_provided_labels_are_respected(self):
         P = random_operator(30, 26)
@@ -319,10 +318,6 @@ class TestFit:
         bad = sp.csr_matrix(np.array([[0.5, 0.5], [0.7, 0.7]]))
         with pytest.raises(ValidationError, match="row-stochastic"):
             fit(bad, OptimizerConfig(d=2, seed=0))
-
-    def test_asymmetric_config_rejected(self):
-        with pytest.raises(ValidationError):
-            fit(random_operator(5, 1), OptimizerConfig(d=2, sym=False))
 
     def test_invalid_rate_rejected_at_config(self):
         with pytest.raises(ValidationError):
@@ -371,6 +366,12 @@ class TestFitExact:
         assert ct[0] == 0.0
         assert np.all(np.isfinite(ct))
 
+    def test_final_log_row_equals_exact_loss(self):
+        P = random_operator(40, 31)
+        result = fit_exact(P, OptimizerConfig(d=4, eta0=0.7, n_epochs=3, seed=2))
+        assert result.log[-1, 3] == exact_loss(result.X, P, uniform_weights(40))
+        assert np.isnan(result.log[:, 2]).all()
+
     def test_size_guard(self):
         P = random_operator(10, 30)
         cfg = OptimizerConfig(d=2, seed=0)
@@ -397,13 +398,13 @@ class TestFitAsymmetric:
         X = unit_rows(rng, n, 4)
         p0 = rng.random(n)
         p0 /= p0.sum()
-        assert exact_loss_asymmetric(X, X, P, p0) == pytest.approx(
-            exact_loss(X, P, p0), abs=1e-9
-        )
+        assert exact_loss(X, P, p0, Y=X) == exact_loss(X, P, p0)
+        params = estimate_mixture(X, kmeans_label(X, 2, seed=0))
+        assert mixture_loss(X, P, p0, params, Y=X) == mixture_loss(X, P, p0, params)
 
     def test_both_outputs_unit_rows(self):
         P = self.rect_operator(60, 40, 32)
-        cfg = OptimizerConfig(d=6, eta0=0.7, n_epochs=6, seed=8, sym=False)
+        cfg = OptimizerConfig(d=6, eta0=0.7, n_epochs=6, seed=8)
         result = fit_asymmetric(P, cfg)
         np.testing.assert_allclose(np.linalg.norm(result.X, axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(result.Y, axis=1), 1.0, atol=1e-10)
@@ -440,8 +441,8 @@ class TestFitAsymmetric:
                 up[i, q] += h
                 down[i, q] -= h
                 fdX[i, q] = (
-                    mixture_loss_asymmetric(up, Y, P, p0, params)
-                    - mixture_loss_asymmetric(down, Y, P, p0, params)
+                    mixture_loss(up, P, p0, params, Y=Y)
+                    - mixture_loss(down, P, p0, params, Y=Y)
                 ) / (2 * h)
         fdY = np.zeros_like(Y)
         for a in range(m):
@@ -450,13 +451,32 @@ class TestFitAsymmetric:
                 up[a, q] += h
                 down[a, q] -= h
                 fdY[a, q] = (
-                    mixture_loss_asymmetric(X, up, P, p0, params)
-                    - mixture_loss_asymmetric(X, down, P, p0, params)
+                    mixture_loss(X, P, p0, params, Y=up)
+                    - mixture_loss(X, P, p0, params, Y=down)
                 ) / (2 * h)
         assert (np.abs(gX - fdX) / np.maximum(np.abs(fdX), 1e-7)).max() < 1e-4
         assert (np.abs(gY - fdY) / np.maximum(np.abs(fdY), 1e-7)).max() < 1e-4
 
-    def test_symmetric_config_rejected(self):
-        P = self.rect_operator(6, 4, 34)
-        with pytest.raises(ValidationError):
-            fit_asymmetric(P, OptimizerConfig(d=2, sym=True))
+    def test_two_pass_validates_the_operator_once(self, validation_calls):
+        P = self.rect_operator(30, 20, 35)
+        fit_asymmetric(P, OptimizerConfig(d=4, n_epochs=2, kappa=2, seed=1))
+        assert len(validation_calls) == 1
+
+    def test_two_pass_equals_explicit_warm_run_then_labels(self):
+        """Oracle: the two-pass workflow spelled out with public calls."""
+        P = self.rect_operator(50, 35, 36)
+        cfg = OptimizerConfig(d=5, eta0=0.7, n_epochs=5, kappa=3, seed=4)
+        warm = fit_asymmetric(P, replace(cfg, kappa=1)).Y
+        expected = fit_asymmetric(P, cfg, labels=kmeans_label(warm, 3, seed=cfg.seed))
+        result = fit_asymmetric(P, cfg)
+        np.testing.assert_array_equal(result.labels.labels, expected.labels.labels)
+        assert result.X.tobytes() == expected.X.tobytes()
+        assert result.Y.tobytes() == expected.Y.tobytes()
+        assert result.log.tobytes() == expected.log.tobytes()
+
+    def test_final_log_row_equals_mixture_loss(self):
+        P = self.rect_operator(40, 25, 37)
+        result = fit_asymmetric(P, OptimizerConfig(d=4, n_epochs=3, kappa=2, seed=3))
+        params = estimate_mixture(result.Y, result.labels)
+        p0 = uniform_weights(25)
+        assert result.log[-1, 2] == mixture_loss(result.X, P, p0, params, Y=result.Y)

@@ -16,7 +16,6 @@ from edrep.znorm import (
     error_cdf,
     exact_z,
     kernel_z,
-    scalar_products,
 )
 
 
@@ -71,12 +70,6 @@ class TestExactZ:
     def test_inner_dimension_checked(self):
         with pytest.raises(DimensionError):
             exact_z(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_scalar_product_samples(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(5)
-        Y = rng.standard_normal((12, 5))
-        np.testing.assert_allclose(scalar_products(x, Y), Y @ x)
 
 
 class TestApproxZ:
