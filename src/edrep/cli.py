@@ -331,12 +331,16 @@ def _cmd_deviation(resolved: dict) -> int:
     from . import io as eio
     from .evaluate import deviation_ct
     from .graphs import negative_binomial_graph
-    from .matstore import row_normalize
+    from .matstore import as_chain, row_normalize
     from .optimizer import OptimizerConfig, fit, fit_exact
 
-    operator = row_normalize(
-        negative_binomial_graph(
-            resolved["n"], r=resolved["nb-r"], p=resolved["nb-p"], seed=resolved["seed"]
+    # One chain serves every run: it is validated, and its transpose
+    # built, once.
+    operator = as_chain(
+        row_normalize(
+            negative_binomial_graph(
+                resolved["n"], r=resolved["nb-r"], p=resolved["nb-p"], seed=resolved["seed"]
+            )
         )
     )
     cfg = OptimizerConfig(

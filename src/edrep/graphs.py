@@ -248,11 +248,12 @@ class SupraGraph:
         return len(self.nodes)
 
     def is_time_respecting(self) -> bool:
-        coo = self.adjacency.tocoo()
-        for a, b in zip(coo.row, coo.col):
-            if self.nodes[b][1] <= self.nodes[a][1]:
-                return False
-        return True
+        times = np.fromiter(
+            (t for _, t in self.nodes), dtype=np.int64, count=len(self.nodes)
+        )
+        adj = self.adjacency
+        rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+        return bool(np.all(times[adj.indices] > times[rows]))
 
 
 def supra_adjacency(edges: TemporalEdgeList) -> SupraGraph:
@@ -265,35 +266,39 @@ def supra_adjacency(edges: TemporalEdgeList) -> SupraGraph:
     and, symmetrically, from (j, t) to i's next activation, carrying the
     contact weight; contacts at a node's final activation produce no
     outgoing cross edge.
+
+    One lexsort of the contact endpoints by (node, t) gives the temporal
+    nodes in order, so a node's next activation is the temporal node right
+    after it whenever both share the node id; cost O(E log E).  Edges are
+    listed self-chains first, then the two cross edges of each record in
+    record order; repeated records add up.
     """
-    activations: dict[int, np.ndarray] = {}
-    for node in np.unique(np.concatenate([edges.i, edges.j])):
-        mask = (edges.i == node) | (edges.j == node)
-        activations[int(node)] = np.unique(edges.t[mask])
+    ends = np.concatenate([edges.i, edges.j])
+    times = np.concatenate([edges.t, edges.t])
+    order = np.lexsort((times, ends))
+    ends, times = ends[order], times[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    first[1:] = (ends[1:] != ends[:-1]) | (times[1:] != times[:-1])
+    # Temporal node of every endpoint, back in record order.
+    where = np.empty(order.size, dtype=np.int64)
+    where[order] = np.cumsum(first) - 1
+    node_ids, node_times = ends[first], times[first]
+    D = node_ids.size
+    has_next = np.zeros(D, dtype=bool)
+    has_next[:-1] = node_ids[1:] == node_ids[:-1]
 
-    nodes = sorted(
-        (int(n), int(t)) for n, ts in activations.items() for t in ts
-    )
-    index = {pair: k for k, pair in enumerate(nodes)}
-    nxt = {}
-    for node, ts in activations.items():
-        for a in range(ts.size - 1):
-            nxt[(node, int(ts[a]))] = (node, int(ts[a + 1]))
-
-    src, dst, wgt = [], [], []
-    for pair, follower in nxt.items():
-        src.append(index[pair])
-        dst.append(index[follower])
-        wgt.append(1.0)
-    for i, j, t, w in zip(edges.i, edges.j, edges.t, edges.w):
-        contact = (int(i), int(j), int(t))
-        for a, b in ((contact[0], contact[1]), (contact[1], contact[0])):
-            follower = nxt.get((b, contact[2]))
-            if follower is not None:
-                src.append(index[(a, contact[2])])
-                dst.append(index[follower])
-                wgt.append(float(w))
-    D = len(nodes)
+    chained = np.flatnonzero(has_next)
+    at_i, at_j = where[: edges.n_records], where[edges.n_records :]
+    # Per record: (i, t) -> j's next activation, then (j, t) -> i's.
+    src = np.column_stack([at_i, at_j]).ravel()
+    dst = np.column_stack([at_j, at_i]).ravel()
+    keep = has_next[dst]
+    src = np.concatenate([chained, src[keep]])
+    dst = np.concatenate([chained, dst[keep]]) + 1
+    wgt = np.concatenate([np.ones(chained.size), np.repeat(edges.w, 2)[keep]])
     adj = sp.coo_matrix((wgt, (src, dst)), shape=(D, D)).tocsr()
     adj.sort_indices()
+    nodes = list(zip(node_ids.tolist(), node_times.tolist()))
+    index = dict(zip(nodes, range(D)))
     return SupraGraph(nodes=nodes, index=index, adjacency=adj)

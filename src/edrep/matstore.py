@@ -200,6 +200,7 @@ class ProductChain:
                     )
             self.weights = w
         self._transposed = None
+        self._stochastic_tol = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -270,8 +271,16 @@ class ProductChain:
         Eligibility is judged on the effective operator: all factor
         entries must be nonnegative and the operator must map the
         all-ones vector to itself within ``tol``.  Individual factors are
-        not required to be row-stochastic on their own.
+        not required to be row-stochastic on their own.  The factors do
+        not change, so a chain that passed is not checked again at the
+        same or a looser tolerance.
         """
+        if self._stochastic_tol is not None and tol >= self._stochastic_tol:
+            return
+        self._check_stochastic(tol)
+        self._stochastic_tol = tol
+
+    def _check_stochastic(self, tol: float) -> None:
         for k, f in enumerate(self.factors):
             if f.nnz and f.data.min() < 0:
                 raise ValidationError(f"factor {k} has negative entries")

@@ -114,7 +114,8 @@ def class_moments(Y: np.ndarray, labels: LabelVector):
     omega = np.zeros((k, d, d))
     for a in range(k):
         idx = np.flatnonzero(labels.labels == a + 1)
-        block = Y[idx]
+        # A class of every row (kappa = 1) needs no gathered copy of Y.
+        block = Y if idx.size == n else Y[idx]
         mu[a] = block.mean(axis=0)
         if idx.size > 1:
             centered = block - mu[a]

@@ -8,6 +8,9 @@ quadratic-cost bottleneck; the production loop replaces it with the
 moment-matched mixture estimate, while ``fit_exact`` keeps the exact
 constants as a comparison arm.  Both arms and the asymmetric fit run one
 epoch loop; only the normalizer, which gives log Z and its gradient, differs.
+The loop walks the query rows in blocks small enough to stay in cache:
+per block it takes the normalizer's log Z and gradient term, adds the
+affinity and regularizer pieces, and makes the sphere step.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ import numpy as np
 from .errors import DimensionError, NumericError, ValidationError
 from .matstore import as_chain, as_dense, uniform_weights, validate_regularization_weights
 from .mixture import LabelVector, MixtureParams, class_moments, kmeans_label
-from .znorm import _check_exponents, _compensated_rowsum, exact_z, zeta_matrix
+from .znorm import (
+    _check_exponents,
+    _compensated_rowsum,
+    _live_classes,
+    _log_sum_exp,
+    exact_z,
+    zeta_matrix,
+)
 
 #: Tangential rows whose norm falls below this fraction of the full
 #: gradient row norm count as vanished: below that scale the direction
@@ -28,6 +38,12 @@ from .znorm import _check_exponents, _compensated_rowsum, exact_z, zeta_matrix
 TANGENT_FLOOR = 1e-12
 
 _UNIT_ROW_TOL = 1e-10
+#: Query rows per block of the epoch loop.  Timing fit on a 2-core Xeon
+#: (2 MiB L2 per core) at d = 32, blocks of 1024 and 2048 rows were the
+#: fastest of 256 to 8192 and of whole matrices, at kappa = 1 (171k rows,
+#: 2.9 s against 4.1 s whole) and kappa = 8 (100k rows, 7.2 s against 8.7 s).
+_BLOCK_ROWS = 2048
+#: Score rows held at once by the exact normalizer (each is m wide).
 _EXACT_BLOCK = 1024
 _EXACT_SIZE_GUARD = 20000
 
@@ -89,7 +105,8 @@ def _unit_rows(M: np.ndarray) -> np.ndarray:
 
 def _assert_unit_rows(X: np.ndarray, where: str) -> None:
     drift = np.abs(np.linalg.norm(X, axis=1) - 1.0).max()
-    if drift > _UNIT_ROW_TOL:
+    # Written so that a NaN drift fails too.
+    if not drift <= _UNIT_ROW_TOL:
         raise NumericError(f"row norms drifted by {drift:.3e} {where}")
 
 
@@ -104,18 +121,6 @@ def _reg_value(X: np.ndarray, Y: np.ndarray, p0: np.ndarray) -> float:
 def _reg_gradient(X: np.ndarray, p0: np.ndarray) -> np.ndarray:
     ones_part = np.broadcast_to(p0 @ X, X.shape)
     return ones_part + np.outer(p0, X.sum(axis=0))
-
-
-def _mixture_term(X: np.ndarray, zeta: np.ndarray, params: MixtureParams) -> np.ndarray:
-    term = zeta @ params.mu
-    for a in range(params.kappa):
-        if params.omega[a].any():
-            term += zeta[:, a, None] * (X @ params.omega[a])
-    return term / zeta.sum(axis=1)[:, None]
-
-
-def _mixture_logz(zeta: np.ndarray, m: int) -> float:
-    return zeta.shape[0] * np.log(m) + float(np.log(zeta.sum(axis=1)).sum())
 
 
 def _mixture_params(Y: np.ndarray, labels: LabelVector) -> MixtureParams:
@@ -148,7 +153,7 @@ def mixture_loss(
     Y = X if Y is None else as_dense(Y, name="Y")
     chain = as_chain(P)
     p0 = validate_regularization_weights(p0, Y.shape[0])
-    logz = _mixture_logz(zeta_matrix(X, params), params.m)
+    logz, _ = _normalized(_mixture_normalizer(params), X)
     return -_affinity(X, chain.apply(Y)) + logz + _reg_value(X, Y, p0)
 
 
@@ -156,8 +161,8 @@ def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
     """Gradient of the mixture-approximated objective.
 
     Mixture means and covariances are treated as constants, so per row
-    the log-Z part contributes the zeta-weighted combination of class
-    means and covariance images.  Cost O(E d + n kappa d^2).
+    the log-Z part contributes the responsibility-weighted combination of
+    class means and covariance images.  Cost O(E d + n kappa d^2).
     """
     X = as_dense(X, name="X")
     chain = as_chain(P)
@@ -166,42 +171,83 @@ def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
             f"operator shape {chain.shape} does not match {X.shape[0]} embedding rows"
         )
     p0 = validate_regularization_weights(p0, X.shape[0])
-    zeta = zeta_matrix(X, params)
-    return (
-        -(chain.apply(X) + chain.apply_transpose(X))
-        + _reg_gradient(X, p0)
-        + _mixture_term(X, zeta, params)
-    )
+    _, term = _normalized(_mixture_normalizer(params), X)
+    return -(chain.apply(X) + chain.apply_transpose(X)) + _reg_gradient(X, p0) + term
 
 
 def softmax_weighted_term(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Rows sum_a softmax(x_i . y_a) y_a: the log-Z gradient with frozen keys."""
-    _, term = _attention_pieces(as_dense(X), X if Y is None else as_dense(Y))
+    X = as_dense(X)
+    _, term = _normalized(_exact_normalizer(X if Y is None else as_dense(Y)), X)
     return term
 
 
-def _attention_pieces(X, Y, block_rows: int = _EXACT_BLOCK):
-    """The exact normalizer: total log Z and the softmax-weighted key sums,
-    blockwise, never materializing the full score matrix."""
+def _row_blocks(n: int):
+    """(start, stop) of each row block of the epoch loop."""
+    return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+
+
+def _normalized(normalize, X: np.ndarray):
+    """Total log Z of the rows of X and their whole gradient term,
+    from a normalizer that serves one row block at a time."""
     term = np.empty_like(X)
     logz = 0.0
-    for start in range(0, X.shape[0], block_rows):
-        stop = min(start + block_rows, X.shape[0])
-        S = X[start:stop] @ Y.T
-        _check_exponents(S)
-        E = np.exp(S)
-        z = _compensated_rowsum(E)
-        term[start:stop] = (E / z[:, None]) @ Y
-        logz += float(np.log(z).sum())
+    for lo, hi in _row_blocks(X.shape[0]):
+        block_logz, term[lo:hi] = normalize(X[lo:hi])
+        logz += float(block_logz.sum())
     return logz, term
 
 
-def _mixture_normalizer(labels: LabelVector, X: np.ndarray, Y: np.ndarray):
-    """The mixture normalizer: moments of the key rows per class, then the
-    estimated total log Z of the query rows and its gradient term."""
-    params = _mixture_params(Y, labels)
-    zeta = zeta_matrix(X, params)
-    return _mixture_logz(zeta, params.m), _mixture_term(X, zeta, params)
+def _mixture_normalizer(params: MixtureParams):
+    """The mixture normalizer of the keys that ``params`` describe.
+
+    For a block of query rows it gives log Z per row and the gradient
+    term sum_a r_a (mu_a + Omega_a x), r_a the class responsibilities.
+    The product of the block with the covariances that gave the quadratic
+    exponents gives the term as well.
+    """
+    d = params.d
+    live = _live_classes(params)
+    log_m = np.log(params.m)
+
+    def normalize(X):
+        L, XO = zeta_matrix(X, params)
+        logz, r = _log_sum_exp(L)
+        term = r @ params.mu
+        for k, a in enumerate(live):
+            term += r[:, a, None] * XO[:, k * d : (k + 1) * d]
+        return log_m + logz, term
+
+    return normalize
+
+
+def _key_mixture(labels: LabelVector, Y: np.ndarray):
+    """The mixture normalizer, prepared from the class moments of the keys."""
+    return _mixture_normalizer(_mixture_params(Y, labels))
+
+
+def _exact_normalizer(Y: np.ndarray):
+    """The exact normalizer against the keys ``Y``.
+
+    For a block of query rows it gives log Z per row and the
+    softmax-weighted key sums, holding at most ``_EXACT_BLOCK`` rows of
+    the score matrix at once.
+    """
+
+    def normalize(X):
+        logz = np.empty(X.shape[0])
+        term = np.empty_like(X)
+        for lo in range(0, X.shape[0], _EXACT_BLOCK):
+            hi = min(lo + _EXACT_BLOCK, X.shape[0])
+            S = X[lo:hi] @ Y.T
+            _check_exponents(S)
+            E = np.exp(S)
+            z = _compensated_rowsum(E)
+            term[lo:hi] = (E / z[:, None]) @ Y
+            logz[lo:hi] = np.log(z)
+        return logz, term
+
+    return normalize
 
 
 def unit_tangential(g: np.ndarray, X: np.ndarray):
@@ -253,17 +299,42 @@ def _validated(P, p0, square: str | None = None):
     return chain, p0
 
 
+def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str):
+    """The sphere step of every row of X, one row block at a time.
+
+    A block's gradient is its normalizer term plus ``pull(lo, hi)``, the
+    block of the other gradient pieces.  The step checks that the rows
+    and the gradient are finite; the stepped rows must have unit norm.
+    Returns the stepped rows and the total log Z of the rows of X.
+    """
+    stepped = np.empty_like(X)
+    logz = 0.0
+    for lo, hi in _row_blocks(X.shape[0]):
+        block_logz, g = normalize(X[lo:hi])
+        logz += float(block_logz.sum())
+        # The term takes the other pieces in place; addition commutes
+        # exactly, so the sum does not depend on which comes first.
+        g += pull(lo, hi)
+        stepped[lo:hi] = sphere_step(X[lo:hi], g, eta)
+        _assert_unit_rows(stepped[lo:hi], where)
+    return stepped, logz
+
+
 def _descend(
-    chain, cfg, p0, normalize, keys=False, record_trajectory=False, log_exact_loss=False,
+    chain, cfg, p0, prepare, keys=False, record_trajectory=False, log_exact_loss=False,
     on_epoch=None,
 ):
     """The epoch loop of every fit, on a validated operator.
 
-    ``normalize(X, Y)`` gives the total log Z of the queries X against the
-    keys Y and its gradient term in X.  Without ``keys``, Y is X; with it,
-    Y is a second embedding moved only by the affinity and regularizer.
-    The exact normalizer's loss goes to the exact log column, any other to
-    the approx one.  Returns X, Y, the log rows and X's trajectory or None.
+    ``prepare(Y)`` gives the epoch's normalizer from the keys Y; called on
+    a block of query rows, the normalizer returns their log Z per row and
+    its gradient term.  Without ``keys``, Y is X; with it, Y is a second
+    embedding moved only by the affinity and regularizer.  Work on whole
+    matrices (operator products, column sums, key moments) comes first;
+    then each row block of X gets its normalizer pieces, its gradient and
+    its sphere step while it is in cache.  The exact normalizer's loss
+    goes to the exact log column, any other to the approx one.  Returns
+    X, Y, the log rows and X's trajectory or None.
     """
     n, m = chain.shape
     rng = np.random.default_rng(cfg.seed)
@@ -274,25 +345,30 @@ def _descend(
     rows = []
     for t in range(cfg.n_epochs):
         eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
-        logz, g = normalize(X, Y)
         PY = chain.apply(Y)
-        loss = -_affinity(X, PY) + logz + _reg_value(X, Y, p0)
-        if normalize is _attention_pieces:
+        p0Y = p0 @ Y
+        xsum = X.sum(axis=0)
+        if keys:
+            def pull(lo, hi):
+                return -PY[lo:hi] + p0Y
+        else:
+            PtX = chain.apply_transpose(X)
+
+            def pull(lo, hi):
+                # As in approx_gradient: -(PX + P'X) + (p0 X + p0 sum(X)).
+                return -(PY[lo:hi] + PtX[lo:hi]) + (p0Y + np.outer(p0[lo:hi], xsum))
+        stepped, logz = _blocked_step(X, prepare(Y), pull, eta, f"after epoch {t}")
+        loss = -float(np.vdot(X, PY)) + logz + float(xsum @ p0Y)
+        if prepare is _exact_normalizer:
             rows.append((t, eta, np.nan, loss))
         else:
             exact = exact_loss(X, chain, p0) if log_exact_loss else np.nan
             rows.append((t, eta, loss, exact))
-        # The log-Z term is the last addend of the gradient; it takes the
-        # rest in place (addition commutes exactly), saving one n x d array.
         if keys:
-            g += -PY + np.broadcast_to(p0 @ Y, X.shape)
-            gY = -chain.apply_transpose(X) + np.outer(p0, X.sum(axis=0))
+            gY = -chain.apply_transpose(X) + np.outer(p0, xsum)
             Y = sphere_step(Y, gY, eta)
             _assert_unit_rows(Y, f"after epoch {t} (keys)")
-        else:
-            g += -(PY + chain.apply_transpose(X)) + _reg_gradient(X, p0)
-        X = sphere_step(X, g, eta)
-        _assert_unit_rows(X, f"after epoch {t}")
+        X = stepped
         Y = Y if keys else X
         if trajectory is not None:
             trajectory.append(X.copy())
@@ -308,7 +384,7 @@ def _resolve_labels(chain, cfg, p0, labels, keys) -> LabelVector:
     if labels is None:
         if cfg.kappa == 1:
             return _single_class(m)
-        single = partial(_mixture_normalizer, _single_class(m))
+        single = partial(_key_mixture, _single_class(m))
         warm = _descend(chain, replace(cfg, kappa=1), p0, single, keys)[1]
         return kmeans_label(warm, cfg.kappa, seed=cfg.seed)
     if labels.n != m:
@@ -325,7 +401,7 @@ def _fit_mixture(
 ):
     """Descend with the mixture normalizer and add the final log row."""
     labels = _resolve_labels(chain, cfg, p0, labels, keys)
-    normalize = partial(_mixture_normalizer, labels)
+    normalize = partial(_key_mixture, labels)
     X, Y, rows, trajectory = _descend(
         chain, cfg, p0, normalize, keys, record_trajectory, log_exact, on_epoch
     )
@@ -383,7 +459,7 @@ def fit_exact(
         )
     chain, p0 = _validated(chain, p0, square="fit_exact")
     X, _, rows, trajectory = _descend(
-        chain, cfg, p0, _attention_pieces,
+        chain, cfg, p0, _exact_normalizer,
         record_trajectory=record_trajectory, on_epoch=on_epoch,
     )
     rows.append((cfg.n_epochs, 0.0, np.nan, exact_loss(X, chain, p0)))

@@ -116,36 +116,59 @@ def exact_z(
     return ZEstimate(out, "exact", includes_self=symmetric and include_self)
 
 
-def zeta_matrix(X: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """Per-row, per-class terms pi_a * exp(x.mu_a + x.Omega_a.x / 2).
+def _live_classes(params: MixtureParams) -> list[int]:
+    """Classes with a nonzero covariance; singleton classes have none."""
+    return [a for a in range(params.kappa) if params.omega[a].any()]
 
-    Row sums times the mixture source count m reproduce the estimated
-    normalization constants.
+
+def zeta_matrix(X: np.ndarray, params: MixtureParams):
+    """Per-row, per-class terms pi_a exp(x.mu_a + x.Omega_a.x / 2), as logarithms.
+
+    Returns ``(L, XO)``.  ``L[i, a] = log pi_a + x_i.mu_a + x_i.Omega_a.x_i / 2``,
+    so the estimate is Z_i = m sum_a exp(L[i, a]); no term overflows in
+    the log domain, however large the norms.  ``XO`` is X times
+    [Omega_a ...] over the classes of :func:`_live_classes`, in order: the
+    one product that gives every quadratic exponent, returned so that the
+    gradient term can reuse it.
     """
     X = as_dense(X, name="X")
     if X.shape[1] != params.d:
         raise DimensionError(
             f"X has d={X.shape[1]}, mixture parameters have d={params.d}"
         )
-    expo = X @ params.mu.T
-    for a in range(params.kappa):
-        if params.omega[a].any():
-            expo[:, a] += 0.5 * np.einsum("ij,ij->i", X @ params.omega[a], X)
-    zeta = params.pi * np.exp(expo)
-    if not np.all(np.isfinite(zeta)):
-        raise NumericError("mixture terms overflowed; rescale the embeddings")
-    return zeta
+    d = params.d
+    live = _live_classes(params)
+    L = X @ params.mu.T
+    XO = X @ np.concatenate(params.omega[live], axis=1) if live else X[:, :0]
+    for k, a in enumerate(live):
+        L[:, a] += 0.5 * np.einsum("ij,ij->i", XO[:, k * d : (k + 1) * d], X)
+    # A class with pi = 0 gets log pi = -inf and weight 0.
+    with np.errstate(divide="ignore"):
+        L += np.log(params.pi)
+    return L, XO
+
+
+def _log_sum_exp(L: np.ndarray):
+    """Row-wise log sum_a exp(L[:, a]), max-shifted, and the weights
+    exp(L[:, a]) / sum_a exp(L[:, a]), written over ``L``."""
+    top = L.max(axis=1)
+    L -= top[:, None]
+    w = np.exp(L, out=L)
+    total = w.sum(axis=1)
+    w /= total[:, None]
+    return top + np.log(total), w
 
 
 def approx_z(X: np.ndarray, params: MixtureParams) -> ZEstimate:
     """Mixture estimate of the normalization constants.
 
     Returns m * sum_a pi_a exp(x.mu_a + x.Omega_a.x / 2) per row of X,
-    at O(n kappa d^2) total cost, independent of m.
+    at O(n kappa d^2) total cost, independent of m.  The class terms are
+    summed in the log domain, so a row fails only if Z itself overflows.
     """
-    zeta = zeta_matrix(X, params)
+    logz, _ = _log_sum_exp(zeta_matrix(X, params)[0])
     return ZEstimate(
-        params.m * zeta.sum(axis=1),
+        params.m * np.exp(logz),
         f"mixture({params.kappa})",
         includes_self=True,
     )

@@ -7,13 +7,15 @@ from edrep.matstore import ProductChain
 
 @pytest.fixture
 def validation_calls(monkeypatch):
-    """A list that gains one entry per ``ProductChain.validate_stochastic`` call."""
+    """A list that gains one entry per check that
+    ``ProductChain.validate_stochastic`` runs on the operator; a call on a
+    chain that already passed returns without a check and adds none."""
     calls = []
-    original = ProductChain.validate_stochastic
+    original = ProductChain._check_stochastic
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(ProductChain, "validate_stochastic", counting)
+    monkeypatch.setattr(ProductChain, "_check_stochastic", counting)
     return calls

@@ -276,7 +276,7 @@ def test_criterion_8_invariant_suite_across_seeds():
             worst["orth"],
             float(np.abs(np.einsum("ij,ij->i", gpp[mask], X[mask])).max()),
         )
-        zeta = zeta_matrix(X, params)
+        zeta = np.exp(zeta_matrix(X, params)[0])
         z = approx_z(X, params)
         worst["zeta"] = max(
             worst["zeta"],

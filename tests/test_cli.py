@@ -240,6 +240,26 @@ class TestDeviation:
         assert lines[0] == "kappa,epoch,ct"
         assert len(lines) == 1 + 2 * 5  # two runs, epochs 0..4 each
 
+    def test_operator_validated_and_transposed_once(self, tmp_path, validation_calls, monkeypatch):
+        from edrep.matstore import ProductChain
+
+        builds = []
+        transposes = ProductChain._transposes
+
+        def counting(self):
+            if self._transposed is None:
+                builds.append(1)
+            return transposes(self)
+
+        monkeypatch.setattr(ProductChain, "_transposes", counting)
+        code = run(
+            "deviation", "--n", 40, "--kappas", "1,2,4", "--epochs", 2,
+            "--dim", 3, "--out", tmp_path / "out",
+        )
+        assert code == EXIT_OK
+        assert len(validation_calls) == 1
+        assert len(builds) == 1
+
 
 class TestConfigResolution:
     def test_flags_override_config_file(self, embedding_csv, tmp_path):

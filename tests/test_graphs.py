@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edrep.errors import ValidationError
 from edrep.graphs import (
     DcsbmParams,
+    SupraGraph,
     TemporalEdgeList,
     dcsbm_sample,
     negative_binomial_graph,
@@ -142,6 +146,60 @@ class TestNegativeBinomialGraph:
         assert deg.std() > 1.0
 
 
+def reference_supra_adjacency(edges):
+    """Oracle: the supra graph built by scanning every record once per
+    node and following dictionaries of next activations."""
+    activations = {}
+    for node in np.unique(np.concatenate([edges.i, edges.j])):
+        mask = (edges.i == node) | (edges.j == node)
+        activations[int(node)] = np.unique(edges.t[mask])
+    nodes = sorted((int(n), int(t)) for n, ts in activations.items() for t in ts)
+    index = {pair: k for k, pair in enumerate(nodes)}
+    nxt = {}
+    for node, ts in activations.items():
+        for a in range(ts.size - 1):
+            nxt[(node, int(ts[a]))] = (node, int(ts[a + 1]))
+    src, dst, wgt = [], [], []
+    for pair, follower in nxt.items():
+        src.append(index[pair])
+        dst.append(index[follower])
+        wgt.append(1.0)
+    for i, j, t, w in zip(edges.i, edges.j, edges.t, edges.w):
+        contact = (int(i), int(j), int(t))
+        for a, b in ((contact[0], contact[1]), (contact[1], contact[0])):
+            follower = nxt.get((b, contact[2]))
+            if follower is not None:
+                src.append(index[(a, contact[2])])
+                dst.append(index[follower])
+                wgt.append(float(w))
+    D = len(nodes)
+    adj = sp.coo_matrix((wgt, (src, dst)), shape=(D, D)).tocsr()
+    adj.sort_indices()
+    return SupraGraph(nodes=nodes, index=index, adjacency=adj)
+
+
+def reference_is_time_respecting(graph):
+    coo = graph.adjacency.tocoo()
+    return all(graph.nodes[b][1] > graph.nodes[a][1] for a, b in zip(coo.row, coo.col))
+
+
+@st.composite
+def contact_lists(draw):
+    """Random contact lists; records may repeat, node ids and times may be sparse."""
+    n_rec = draw(st.integers(1, 60))
+    n_nodes = draw(st.integers(2, 12))
+    spread = draw(st.sampled_from([1, 1000]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n_nodes, n_rec)
+    j = (i + rng.integers(1, n_nodes, n_rec)) % n_nodes
+    t = rng.integers(1, draw(st.integers(1, 10)) + 1, n_rec)
+    w = rng.random(n_rec) + 0.1
+    repeats = rng.integers(0, n_rec, draw(st.integers(0, 5)))
+    i, j, t, w = (np.concatenate([a, a[repeats]]) for a in (i, j, t, w))
+    return TemporalEdgeList(i=i * spread, j=j * spread, t=t * spread, w=w)
+
+
 def toy_contacts():
     return TemporalEdgeList(
         i=np.array([1, 1]), j=np.array([2, 2]), t=np.array([1, 2]), w=np.array([1.0, 2.0])
@@ -196,6 +254,27 @@ class TestSupraAdjacency:
             coo = graph.adjacency.tocoo()
             for a, b in zip(coo.row, coo.col):
                 assert graph.nodes[b][1] > graph.nodes[a][1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(edges=contact_lists())
+    def test_bitwise_equal_to_reference_builder(self, edges):
+        graph = supra_adjacency(edges)
+        ref = reference_supra_adjacency(edges)
+        assert graph.nodes == ref.nodes
+        assert graph.index == ref.index
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(graph.adjacency, name), getattr(ref.adjacency, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert graph.adjacency.shape == ref.adjacency.shape
+        assert graph.is_time_respecting() is reference_is_time_respecting(ref) is True
+
+    @pytest.mark.parametrize("a, b", [((1, 2), (2, 1)), ((1, 1), (2, 1))], ids=["back", "same-time"])
+    def test_edge_not_forward_in_time_detected(self, a, b):
+        graph = supra_adjacency(toy_contacts())
+        A = graph.adjacency.toarray()
+        A[graph.index[a], graph.index[b]] = 1.0
+        broken = SupraGraph(graph.nodes, graph.index, sp.csr_matrix(A))
+        assert broken.is_time_respecting() is False
 
     def test_row_normalized_supra_feeds_the_optimizer(self):
         graph = supra_adjacency(toy_contacts())

@@ -247,6 +247,23 @@ class TestStochasticValidation:
         with pytest.raises(ValidationError, match="row-stochastic"):
             ProductChain([A]).validate_stochastic()
 
+    def test_passed_chain_is_not_checked_again(self, validation_calls):
+        L = row_normalize(random_sparse(25, 25, 0.2, 4) + sp.eye(25))
+        chain = ProductChain([L, L])
+        chain.validate_stochastic()
+        chain.validate_stochastic()
+        chain.validate_stochastic(tol=1e-6)  # looser: already implied
+        assert len(validation_calls) == 1
+        chain.validate_stochastic(tol=1e-12)  # stricter: checked
+        assert len(validation_calls) == 2
+
+    def test_failing_chain_fails_every_time(self, validation_calls):
+        chain = ProductChain([sp.csr_matrix(np.array([[0.5, 0.5], [0.3, 0.3]]))])
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="row-stochastic"):
+                chain.validate_stochastic()
+        assert len(validation_calls) == 2
+
     def test_as_chain_wraps_matrices(self):
         A = row_normalize(sp.eye(4, format="csr"))
         chain = as_chain(A)

@@ -12,6 +12,7 @@ from edrep.errors import ValidationError
 from edrep.mixture import (
     LabelVector,
     _class_means,
+    class_moments,
     estimate_mixture,
     kmeans_label,
     singleton_mixture,
@@ -312,6 +313,19 @@ class TestEstimateMixture:
         params = estimate_mixture(Y, LabelVector(np.ones(60, dtype=int), 1))
         np.testing.assert_allclose(params.mu[0], Y.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(params.omega[0], np.cov(Y.T), atol=1e-12)
+
+    def test_class_of_every_row_bitwise_equal_to_gathered_rows(self):
+        """Oracle: the moments of the gathered copy ``Y[idx]``, which a class
+        of every row no longer makes."""
+        rng = np.random.default_rng(14)
+        Y = rng.standard_normal((501, 7))
+        mu, omega = class_moments(Y, LabelVector(np.ones(501, dtype=int), 1))
+        block = Y[np.flatnonzero(np.ones(501, dtype=bool))]
+        mean = block.mean(axis=0)
+        centered = block - mean
+        cov = centered.T @ centered / 500
+        assert mu[0].tobytes() == mean.tobytes()
+        assert omega[0].tobytes() == (0.5 * (cov + cov.T)).tobytes()
 
     def test_relabeling_permutes_parameters(self):
         rng = np.random.default_rng(17)

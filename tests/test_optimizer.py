@@ -8,12 +8,23 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edrep.errors import ValidationError
-from edrep.matstore import ProductChain, rescale_embedding, row_normalize, uniform_weights
+from edrep.errors import NumericError, ValidationError
+from edrep.matstore import (
+    ProductChain,
+    as_chain,
+    rescale_embedding,
+    row_normalize,
+    uniform_weights,
+)
 from edrep.mixture import LabelVector, estimate_mixture, kmeans_label, singleton_mixture
 from edrep.optimizer import (
+    _BLOCK_ROWS,
     TANGENT_FLOOR,
     OptimizerConfig,
+    _assert_unit_rows,
+    _blocked_step,
+    _mixture_normalizer,
+    _normalized,
     approx_gradient,
     exact_loss,
     fit,
@@ -24,7 +35,7 @@ from edrep.optimizer import (
     sphere_step,
     unit_tangential,
 )
-from edrep.znorm import zeta_matrix
+from edrep.znorm import _compensated_rowsum, zeta_matrix
 
 
 def random_operator(n, seed, density=0.25):
@@ -34,6 +45,83 @@ def random_operator(n, seed, density=0.25):
 
 def unit_rows(rng, n, d):
     return rescale_embedding(rng.standard_normal((n, d)), "unit-rows")
+
+
+def reference_zeta(X, params):
+    """Oracle: the per-class terms pi_a exp(x.mu_a + x.Omega_a.x / 2) in the
+    linear domain, one product of X per class covariance."""
+    expo = X @ params.mu.T
+    for a in range(params.kappa):
+        if params.omega[a].any():
+            expo[:, a] += 0.5 * np.einsum("ij,ij->i", X @ params.omega[a], X)
+    zeta = params.pi * np.exp(expo)
+    if not np.all(np.isfinite(zeta)):
+        raise NumericError("mixture terms overflowed")
+    return zeta
+
+
+def reference_mixture_term(X, zeta, params):
+    """Oracle: the unfused mixture gradient term, from the whole zeta matrix
+    and a second product of X with every class covariance."""
+    term = zeta @ params.mu
+    for a in range(params.kappa):
+        if params.omega[a].any():
+            term += zeta[:, a, None] * (X @ params.omega[a])
+    return term / zeta.sum(axis=1)[:, None]
+
+
+def reference_mixture_pieces(X, params):
+    """Oracle: the unfused mixture normalizer, log Z per row and the term."""
+    zeta = reference_zeta(X, params)
+    logz = np.log(params.m) + np.log(zeta.sum(axis=1))
+    return logz, reference_mixture_term(X, zeta, params)
+
+
+def reference_attention_term(X, Y):
+    """Oracle: the exact softmax-weighted key sums over the whole X."""
+    term = np.empty_like(X)
+    for start in range(0, X.shape[0], 1024):
+        E = np.exp(X[start : start + 1024] @ Y.T)
+        z = _compensated_rowsum(E)
+        term[start : start + 1024] = (E / z[:, None]) @ Y
+    return term
+
+
+def reference_fit(P, cfg, labels=None, keys=False, exact=False):
+    """Oracle: the unfused epoch loop, every stage on whole matrices, with
+    uniform p0.  Returns the trajectory of X (and of Y with ``keys``)."""
+    chain = as_chain(P)
+    n, m = chain.shape
+    p0 = uniform_weights(m)
+    labels = labels or LabelVector(np.ones(m, dtype=np.int64), 1)
+    rng = np.random.default_rng(cfg.seed)
+    X = rng.standard_normal((n, cfg.d))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    Y = X
+    if keys:
+        Y = rng.standard_normal((m, cfg.d))
+        Y /= np.linalg.norm(Y, axis=1)[:, None]
+    xs, ys = [X], [Y]
+    for t in range(cfg.n_epochs):
+        eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
+        if exact:
+            g = reference_attention_term(X, Y)
+        else:
+            params = estimate_mixture(Y, labels)
+            g = reference_mixture_term(X, reference_zeta(X, params), params)
+        PY = chain.apply(Y)
+        if keys:
+            g += -PY + np.broadcast_to(p0 @ Y, X.shape)
+            gY = -chain.apply_transpose(X) + np.outer(p0, X.sum(axis=0))
+            Y = sphere_step(Y, gY, eta)
+        else:
+            reg = np.broadcast_to(p0 @ X, X.shape) + np.outer(p0, X.sum(axis=0))
+            g += -(PY + chain.apply_transpose(X)) + reg
+        X = sphere_step(X, g, eta)
+        Y = Y if keys else X
+        xs.append(X)
+        ys.append(Y)
+    return (xs, ys) if keys else xs
 
 
 def raw_objective(X, P, p0):
@@ -145,7 +233,7 @@ class TestApproxGradient:
         n, d = 100, 5
         X = unit_rows(rng, n, d)
         params = singleton_mixture(X)
-        zeta = zeta_matrix(X, params)
+        zeta = reference_zeta(X, params)
         mixture_term = (zeta @ params.mu) / zeta.sum(axis=1)[:, None]
         np.testing.assert_allclose(
             mixture_term, softmax_weighted_term(X), rtol=1e-9, atol=1e-12
@@ -308,7 +396,7 @@ class TestFit:
         cfg = OptimizerConfig(d=6, eta0=0.7, n_epochs=5, seed=7)
         result = fit(P, cfg)
         params = estimate_mixture(result.X, result.labels)
-        zeta = zeta_matrix(result.X, params)
+        zeta = np.exp(zeta_matrix(result.X, params)[0])
         z = approx_z(result.X, params)
         np.testing.assert_allclose(
             zeta.sum(axis=1) * params.m, z.values, rtol=0, atol=1e-12
@@ -421,15 +509,12 @@ class TestFitAsymmetric:
         p0 /= p0.sum()
         params = estimate_mixture(Y, kmeans_label(Y, 2, seed=0))
 
-        from edrep.matstore import as_chain
-        from edrep.optimizer import _mixture_term
-
         chain = as_chain(P)
-        zeta = zeta_matrix(X, params)
+        zeta = reference_zeta(X, params)
         gX = (
             -chain.apply(Y)
             + np.broadcast_to(p0 @ Y, X.shape)
-            + _mixture_term(X, zeta, params)
+            + reference_mixture_term(X, zeta, params)
         )
         gY = -chain.apply_transpose(X) + np.outer(p0, X.sum(axis=0))
 
@@ -480,3 +565,162 @@ class TestFitAsymmetric:
         params = estimate_mixture(result.Y, result.labels)
         p0 = uniform_weights(25)
         assert result.log[-1, 2] == mixture_loss(result.X, P, p0, params, Y=result.Y)
+
+
+def labels_with_singletons(n, kappa, singletons, rng):
+    """Labels in 1..kappa, shuffled, where classes 1..singletons hold one
+    row each (zero covariance) and every class is nonempty."""
+    labels = np.empty(n, dtype=np.int64)
+    labels[:singletons] = np.arange(1, singletons + 1)
+    labels[singletons:] = rng.integers(singletons + 1, kappa + 1, n - singletons)
+    labels[singletons:kappa] = np.arange(singletons + 1, kappa + 1)
+    return LabelVector(labels[rng.permutation(n)], kappa)
+
+
+class TestBlockNormalizer:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from(
+            [1, 2, 37, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5]
+        ),
+        d=st.integers(1, 6),
+        kappa=st.integers(1, 8),
+        frozen_share=st.sampled_from([0.0, 0.3, 1.0]),
+        eta=st.floats(0.0, 1.0, exclude_min=True),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_unfused_formula_step_included(
+        self, n, d, kappa, frozen_share, eta, seed
+    ):
+        """Oracle: the unfused normalizer (zeta matrix, then the term with a
+        second product per class) followed by a whole-matrix sphere step."""
+        rng = np.random.default_rng(seed)
+        kappa = min(kappa, n)
+        X = unit_rows(rng, n, d)
+        labels = labels_with_singletons(n, kappa, int(rng.integers(0, kappa)), rng)
+        params = estimate_mixture(X, labels)
+        normalize = _mixture_normalizer(params)
+        ref_logz, ref_term = reference_mixture_pieces(X, params)
+
+        logz, term = normalize(X)
+        np.testing.assert_array_less(
+            np.abs(logz - ref_logz), 1e-13 * np.maximum(np.abs(ref_logz), 1.0)
+        )
+        assert np.abs(term - ref_term).max() <= 1e-13 * np.abs(ref_term).max()
+        total, term = _normalized(normalize, X)
+        assert total == pytest.approx(ref_logz.sum(), rel=1e-13)
+        assert np.abs(term - ref_term).max() <= 1e-13 * np.abs(ref_term).max()
+
+        # The gradient is made v, whose tangential part is a unit vector
+        # (so the step is well conditioned) or, on frozen rows, zero.
+        v = rng.standard_normal((n, d))
+        v -= np.einsum("ij,ij->i", v, X)[:, None] * X
+        norms = np.linalg.norm(v, axis=1)[:, None]
+        v = np.divide(v, norms, out=np.zeros_like(v), where=norms > 1e-3)
+        v += rng.standard_normal((n, 1)) * X
+        frozen = rng.random(n) < frozen_share
+        v[frozen] = 2.0 * X[frozen]
+        rest = v - ref_term
+        stepped, total = _blocked_step(
+            X, normalize, lambda lo, hi: rest[lo:hi], eta, "in the test"
+        )
+        assert total == pytest.approx(ref_logz.sum(), rel=1e-13)
+        np.testing.assert_array_equal(stepped[frozen], X[frozen])
+        np.testing.assert_allclose(
+            stepped, sphere_step(X, ref_term + rest, eta), rtol=0, atol=1e-12
+        )
+
+    def test_finite_log_z_where_the_linear_terms_overflow(self):
+        """Oracle: the max-shifted log-sum-exp of the class exponents."""
+        rng = np.random.default_rng(16)
+        n, d, kappa = 60, 4, 3
+        Y = 30.0 * unit_rows(rng, n, d)
+        params = estimate_mixture(Y, LabelVector(np.arange(n) % kappa + 1, kappa))
+        X = Y[:12]
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflowed"):
+            reference_zeta(X, params)
+
+        logz, term = _mixture_normalizer(params)(X)
+        expo = X @ params.mu.T + np.log(params.pi)
+        for a in range(kappa):
+            expo[:, a] += 0.5 * np.einsum("ij,ij->i", X @ params.omega[a], X)
+        top = expo.max(axis=1)
+        shifted = np.exp(expo - top[:, None])
+        ref_logz = np.log(params.m) + top + np.log(shifted.sum(axis=1))
+        resp = shifted / shifted.sum(axis=1)[:, None]
+        ref_term = resp @ params.mu
+        for a in range(kappa):
+            ref_term += resp[:, a, None] * (X @ params.omega[a])
+        assert np.all(np.isfinite(logz)) and np.all(np.isfinite(term))
+        assert expo.max() > 709.0  # exp() of it overflows
+        np.testing.assert_allclose(logz, ref_logz, rtol=1e-13)
+        np.testing.assert_allclose(term, ref_term, rtol=0, atol=1e-12 * np.abs(ref_term).max())
+
+    def test_non_finite_gradient_block_rejected(self):
+        X = unit_rows(np.random.default_rng(17), 10, 3)
+
+        def broken(Xb):
+            return np.zeros(Xb.shape[0]), np.full_like(Xb, np.nan)
+
+        with pytest.raises(ValidationError, match="non-finite"):
+            _blocked_step(X, broken, lambda lo, hi: 0.0, 0.5, "in the test")
+
+
+class TestUnitRowCheck:
+    def test_unit_rows_pass(self):
+        _assert_unit_rows(np.eye(3), "in the test")
+
+    def test_one_nan_row_fails(self):
+        X = np.eye(3)
+        X[1] = np.nan
+        with pytest.raises(NumericError, match="drifted"):
+            _assert_unit_rows(X, "in the test")
+
+
+class TestIteratesMatchUnfusedLoop:
+    """Oracle: ``reference_fit``, the unfused loop, on the criterion-8 seeds;
+    every epoch's iterate must agree within 1e-12."""
+
+    @staticmethod
+    def cases():
+        for seed in range(50):
+            rng = np.random.default_rng(1000 + seed)
+            n = int(rng.integers(20, 40))
+            yield n, random_operator(n, seed), OptimizerConfig(d=5, eta0=0.7, n_epochs=3, seed=seed)
+
+    @staticmethod
+    def worst(got, want):
+        assert len(got) == len(want)
+        return max(float(np.abs(a - b).max()) for a, b in zip(got, want))
+
+    def test_fit(self):
+        worst = 0.0
+        for n, P, cfg in self.cases():
+            got = fit(P, cfg, record_trajectory=True).trajectory
+            worst = max(worst, self.worst(got, reference_fit(P, cfg)))
+            labels = LabelVector(np.arange(n) % 3 + 1, 3)
+            got = fit(P, replace(cfg, kappa=3), labels=labels, record_trajectory=True)
+            worst = max(worst, self.worst(got.trajectory, reference_fit(P, cfg, labels)))
+        assert worst <= 1e-12
+
+    def test_fit_exact(self):
+        worst = 0.0
+        for _, P, cfg in self.cases():
+            got = fit_exact(P, cfg, record_trajectory=True).trajectory
+            worst = max(worst, self.worst(got, reference_fit(P, cfg, exact=True)))
+        assert worst <= 1e-12
+
+    def test_fit_asymmetric(self):
+        worst = 0.0
+        for n, P, cfg in self.cases():
+            labels = LabelVector(np.arange(n) % 2 + 1, 2)
+            seen = []
+            result = fit_asymmetric(
+                P, replace(cfg, kappa=2), labels=labels,
+                on_epoch=lambda t, X, Y: seen.append((X.copy(), Y.copy())),
+            )
+            xs, ys = reference_fit(P, cfg, labels, keys=True)
+            worst = max(worst, self.worst([x for x, _ in seen], xs[1:]))
+            worst = max(worst, self.worst([y for _, y in seen], ys[1:]))
+            worst = max(worst, self.worst([result.X, result.Y], [xs[-1], ys[-1]]))
+        assert worst <= 1e-12

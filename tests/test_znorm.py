@@ -7,7 +7,7 @@ import pytest
 
 from edrep.errors import DimensionError, NumericError, ValidationError
 from edrep.matstore import rescale_embedding
-from edrep.mixture import LabelVector, estimate_mixture, singleton_mixture
+from edrep.mixture import LabelVector, MixtureParams, estimate_mixture, singleton_mixture
 from edrep.znorm import (
     KernelFeatureMap,
     ZEstimate,
@@ -121,11 +121,23 @@ class TestApproxZ:
         labels = LabelVector(np.tile([1, 2, 3], 10), 3)
         params = estimate_mixture(Y, labels)
         X = rng.standard_normal((12, 4)) * 0.4
-        zeta = zeta_matrix(X, params)
+        log_zeta, _ = zeta_matrix(X, params)
         z = approx_z(X, params)
         np.testing.assert_allclose(
-            zeta.sum(axis=1), z.values / params.m, rtol=0, atol=1e-12
+            np.exp(log_zeta).sum(axis=1), z.values / params.m, rtol=0, atol=1e-12
         )
+
+    def test_class_terms_past_the_exp_limit_give_finite_z(self):
+        """Oracle: Z = m sum_a pi_a exp(e_a) by hand, with log pi_1 folded
+        into e_1 = 709.9, which is above log(max float) ~ 709.78."""
+        mu = np.array([[709.9], [0.0]])
+        params = MixtureParams(
+            pi=np.array([0.25, 0.75]), mu=mu, omega=np.zeros((2, 1, 1)), m=1
+        )
+        z = approx_z(np.ones((1, 1)), params)
+        expected = np.exp(709.9 + np.log(0.25)) + 0.75
+        np.testing.assert_allclose(z.values, [expected], rtol=1e-13)
+        assert np.isfinite(z.values[0]) and z.values[0] > 1e307
 
     def test_dimension_mismatch_rejected(self):
         Y = np.zeros((5, 3))
