@@ -216,6 +216,8 @@ def _cmd_estimate_z(resolved: dict) -> int:
     bad = set(methods) - known
     if bad:
         raise ValidationError(f"unknown estimation method(s): {sorted(bad)}")
+    if resolved["samples"] < 1:
+        raise ValidationError(f"--samples must be at least 1, got {resolved['samples']}")
     emb = eio.load_dense(resolved["embedding"])
     n, d = emb.shape
     rng = np.random.default_rng(resolved["seed"])
@@ -380,7 +382,7 @@ def _cmd_supra(resolved: dict) -> int:
     eio.save_sparse_mm(out_dir / "supra.mtx", graph.adjacency)
     eio.save_table_csv(
         out_dir / "supra_nodes.csv",
-        [(k, node, t) for k, (node, t) in enumerate(graph.nodes)],
+        [(k, node, t) for k, (node, t) in enumerate(graph.nodes.tolist())],
         header=["index", "node", "time"],
     )
     _write_manifest(out_dir, "supra", resolved)
@@ -395,9 +397,12 @@ def _cmd_concentration(resolved: dict) -> int:
     import numpy as np
 
     from . import io as eio
+    from .errors import ValidationError
     from .znorm import concentration_probe
 
     d = resolved["d"]
+    if d < 1:
+        raise ValidationError(f"--d must be at least 1, got {d}")
     rng = np.random.default_rng(resolved["seed"])
     x = rng.standard_normal(d)
     x /= np.linalg.norm(x)

@@ -172,6 +172,8 @@ def negative_binomial_graph(
     theta_i theta_j (scaled so expected degrees track the propensities,
     capped at 1).  Row-normalize the result to obtain the operator.
     """
+    if not (r > 0 and 0 < p <= 1):
+        raise ValidationError(f"negative binomial needs r > 0 and 0 < p <= 1, got r={r}, p={p}")
     rng = np.random.default_rng(seed)
     theta = rng.negative_binomial(r, p, size=n).astype(np.float64)
     total = theta.sum()
@@ -234,23 +236,25 @@ class TemporalEdgeList:
 class SupraGraph:
     """Directed graph over (node, activation time) pairs.
 
-    ``nodes[k]`` is the (node id, snapshot) pair of temporal node k and
-    ``index`` inverts that bijection.  Every edge points strictly
-    forward in time, so the graph is acyclic by construction.
+    ``nodes`` is a (D, 2) int64 array whose row k holds the (node id,
+    snapshot) pair of temporal node k, sorted by node id, then snapshot.
+    Every edge points strictly forward in time, so the graph is acyclic
+    by construction.
     """
 
-    nodes: list[tuple[int, int]]
-    index: dict[tuple[int, int], int]
+    nodes: np.ndarray
     adjacency: sp.csr_matrix
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=np.int64).reshape(-1, 2)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.nodes.shape[0]
 
     def is_time_respecting(self) -> bool:
-        times = np.fromiter(
-            (t for _, t in self.nodes), dtype=np.int64, count=len(self.nodes)
-        )
+        times = self.nodes[:, 1]
         adj = self.adjacency
         rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
         return bool(np.all(times[adj.indices] > times[rows]))
@@ -299,6 +303,4 @@ def supra_adjacency(edges: TemporalEdgeList) -> SupraGraph:
     wgt = np.concatenate([np.ones(chained.size), np.repeat(edges.w, 2)[keep]])
     adj = sp.coo_matrix((wgt, (src, dst)), shape=(D, D)).tocsr()
     adj.sort_indices()
-    nodes = list(zip(node_ids.tolist(), node_times.tolist()))
-    index = dict(zip(nodes, range(D)))
-    return SupraGraph(nodes=nodes, index=index, adjacency=adj)
+    return SupraGraph(nodes=np.column_stack([node_ids, node_times]), adjacency=adj)

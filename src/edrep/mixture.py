@@ -7,7 +7,7 @@ class covariance matrix (unbiased, divisor |class| - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,7 +59,6 @@ class MixtureParams:
     mu: np.ndarray       # (kappa, d)
     omega: np.ndarray    # (kappa, d, d), each symmetric PSD
     m: int               # number of vectors the moments were estimated from
-    validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         pi = np.ascontiguousarray(self.pi, dtype=np.float64)
@@ -77,17 +76,21 @@ class MixtureParams:
             raise ValidationError("mixture source count m must be positive")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValidationError("class fractions must be nonnegative and sum to 1")
-        if not self.validate:
+        # An all-zero covariance (a singleton class) is symmetric PSD as it
+        # stands; only the others need the checks.
+        live = np.flatnonzero(omega.any(axis=(1, 2)))
+        if live.size == 0:
             return
-        asym = np.abs(omega - omega.transpose(0, 2, 1)).max(initial=0.0)
+        cov = omega[live]
+        asym = np.abs(cov - cov.transpose(0, 2, 1)).max()
         if asym > 1e-12:
             raise ValidationError(f"covariances asymmetric by {asym:.3e}")
-        for a in range(k):
-            lo = np.linalg.eigvalsh(omega[a]).min() if d else 0.0
-            if lo < PSD_EIG_TOL:
-                raise ValidationError(
-                    f"covariance of class {a + 1} has eigenvalue {lo:.3e}"
-                )
+        lows = np.linalg.eigvalsh(cov).min(axis=1)
+        bad = np.flatnonzero(lows < PSD_EIG_TOL)
+        if bad.size:
+            raise ValidationError(
+                f"covariance of class {live[bad[0]] + 1} has eigenvalue {lows[bad[0]]:.3e}"
+            )
 
     @property
     def kappa(self) -> int:
@@ -141,7 +144,6 @@ def singleton_mixture(Y: np.ndarray) -> MixtureParams:
         mu=Y.copy(),
         omega=np.zeros((m, d, d)),
         m=m,
-        validate=False,
     )
 
 

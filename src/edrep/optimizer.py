@@ -110,22 +110,40 @@ def _assert_unit_rows(X: np.ndarray, where: str) -> None:
         raise NumericError(f"row norms drifted by {drift:.3e} {where}")
 
 
-def _affinity(X: np.ndarray, PY: np.ndarray) -> float:
-    return float(np.sum(X * PY))
-
-
-def _reg_value(X: np.ndarray, Y: np.ndarray, p0: np.ndarray) -> float:
-    return float(X.sum(axis=0) @ (p0 @ Y))
-
-
-def _reg_gradient(X: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    ones_part = np.broadcast_to(p0 @ X, X.shape)
-    return ones_part + np.outer(p0, X.sum(axis=0))
-
-
 def _mixture_params(Y: np.ndarray, labels: LabelVector) -> MixtureParams:
     mu, omega = class_moments(Y, labels)
     return MixtureParams(pi=labels.counts() / labels.n, mu=mu, omega=omega, m=labels.n)
+
+
+def _entry(X, Y, P, p0):
+    """The entry check of the losses and the gradient: finite X and keys Y
+    (X itself when None), an operator of shape (rows of X, rows of Y) and
+    p0 over the keys."""
+    X = as_dense(X, name="X")
+    Y = X if Y is None else as_dense(Y, name="Y")
+    chain = as_chain(P)
+    if chain.shape != (X.shape[0], Y.shape[0]):
+        raise DimensionError(
+            f"operator shape {chain.shape} does not match {X.shape[0]} query "
+            f"and {Y.shape[0]} key rows"
+        )
+    return X, Y, chain, validate_regularization_weights(p0, Y.shape[0])
+
+
+def _objective(X: np.ndarray, PY: np.ndarray, p0Y: np.ndarray, logz: float) -> float:
+    """-tr(X'PY) + sum_i log Z_i + tr(X'1 p0'Y), from P Y, p0 Y and the total log Z."""
+    return -float(np.vdot(X, PY)) + logz + float(X.sum(axis=0) @ p0Y)
+
+
+def _pull(chain, X, PY, p0Y, p0, keys):
+    """The affinity and regularizer gradient of the rows of X, as a function
+    of a row block (lo, hi): -P Y + 1 p0'Y against separate keys, else
+    -(P X + P'X) + (1 p0'X + p0 1'X)."""
+    if keys:
+        return lambda lo, hi: -PY[lo:hi] + p0Y
+    PtX = chain.apply_transpose(X)
+    xsum = X.sum(axis=0)
+    return lambda lo, hi: -(PY[lo:hi] + PtX[lo:hi]) + (p0Y + np.outer(p0[lo:hi], xsum))
 
 
 def exact_loss(X: np.ndarray, P, p0, Y: np.ndarray | None = None) -> float:
@@ -135,12 +153,9 @@ def exact_loss(X: np.ndarray, P, p0, Y: np.ndarray | None = None) -> float:
     symmetric one when Y = X and the operator is square.  Intended as an
     oracle and a comparison arm, not for large runs.
     """
-    X = as_dense(X, name="X")
-    Y = X if Y is None else as_dense(Y, name="Y")
-    chain = as_chain(P)
-    p0 = validate_regularization_weights(p0, Y.shape[0])
+    X, Y, chain, p0 = _entry(X, Y, P, p0)
     logz = float(np.log(exact_z(X, Y).values).sum())
-    return -_affinity(X, chain.apply(Y)) + logz + _reg_value(X, Y, p0)
+    return _objective(X, chain.apply(Y), p0 @ Y, logz)
 
 
 def mixture_loss(
@@ -149,12 +164,9 @@ def mixture_loss(
     """Objective value with the mixture estimate substituted for the constants.
 
     ``params`` describe the keys: the rows of ``Y`` when given, else of X."""
-    X = as_dense(X, name="X")
-    Y = X if Y is None else as_dense(Y, name="Y")
-    chain = as_chain(P)
-    p0 = validate_regularization_weights(p0, Y.shape[0])
+    X, Y, chain, p0 = _entry(X, Y, P, p0)
     logz, _ = _normalized(_mixture_normalizer(params), X)
-    return -_affinity(X, chain.apply(Y)) + logz + _reg_value(X, Y, p0)
+    return _objective(X, chain.apply(Y), p0 @ Y, logz)
 
 
 def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
@@ -164,15 +176,10 @@ def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
     the log-Z part contributes the responsibility-weighted combination of
     class means and covariance images.  Cost O(E d + n kappa d^2).
     """
-    X = as_dense(X, name="X")
-    chain = as_chain(P)
-    if chain.shape != (X.shape[0], X.shape[0]):
-        raise DimensionError(
-            f"operator shape {chain.shape} does not match {X.shape[0]} embedding rows"
-        )
-    p0 = validate_regularization_weights(p0, X.shape[0])
+    X, _, chain, p0 = _entry(X, None, P, p0)
     _, term = _normalized(_mixture_normalizer(params), X)
-    return -(chain.apply(X) + chain.apply_transpose(X)) + _reg_gradient(X, p0) + term
+    term += _pull(chain, X, chain.apply(X), p0 @ X, p0, False)(0, X.shape[0])
+    return term
 
 
 def softmax_weighted_term(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
@@ -320,10 +327,7 @@ def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str):
     return stepped, logz
 
 
-def _descend(
-    chain, cfg, p0, prepare, keys=False, record_trajectory=False, log_exact_loss=False,
-    on_epoch=None,
-):
+def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_epoch=None):
     """The epoch loop of every fit, on a validated operator.
 
     ``prepare(Y)`` gives the epoch's normalizer from the keys Y; called on
@@ -332,9 +336,8 @@ def _descend(
     embedding moved only by the affinity and regularizer.  Work on whole
     matrices (operator products, column sums, key moments) comes first;
     then each row block of X gets its normalizer pieces, its gradient and
-    its sphere step while it is in cache.  The exact normalizer's loss
-    goes to the exact log column, any other to the approx one.  Returns
-    X, Y, the log rows and X's trajectory or None.
+    its sphere step while it is in cache.  Returns X, Y, the (epoch, eta,
+    loss) rows and X's trajectory or None.
     """
     n, m = chain.shape
     rng = np.random.default_rng(cfg.seed)
@@ -347,25 +350,11 @@ def _descend(
         eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
         PY = chain.apply(Y)
         p0Y = p0 @ Y
-        xsum = X.sum(axis=0)
-        if keys:
-            def pull(lo, hi):
-                return -PY[lo:hi] + p0Y
-        else:
-            PtX = chain.apply_transpose(X)
-
-            def pull(lo, hi):
-                # As in approx_gradient: -(PX + P'X) + (p0 X + p0 sum(X)).
-                return -(PY[lo:hi] + PtX[lo:hi]) + (p0Y + np.outer(p0[lo:hi], xsum))
+        pull = _pull(chain, X, PY, p0Y, p0, keys)
         stepped, logz = _blocked_step(X, prepare(Y), pull, eta, f"after epoch {t}")
-        loss = -float(np.vdot(X, PY)) + logz + float(xsum @ p0Y)
-        if prepare is _exact_normalizer:
-            rows.append((t, eta, np.nan, loss))
-        else:
-            exact = exact_loss(X, chain, p0) if log_exact_loss else np.nan
-            rows.append((t, eta, loss, exact))
+        rows.append((t, eta, _objective(X, PY, p0Y, logz)))
         if keys:
-            gY = -chain.apply_transpose(X) + np.outer(p0, xsum)
+            gY = -chain.apply_transpose(X) + np.outer(p0, X.sum(axis=0))
             Y = sphere_step(Y, gY, eta)
             _assert_unit_rows(Y, f"after epoch {t} (keys)")
         X = stepped
@@ -375,6 +364,16 @@ def _descend(
         if on_epoch is not None:
             on_epoch(t, X, Y) if keys else on_epoch(t, X)
     return X, Y, rows, trajectory
+
+
+def _training_log(rows, column: str) -> np.ndarray:
+    """The (epoch, eta, loss) rows laid out as :data:`LOG_COLUMNS`, with
+    the losses in ``column`` and NaN in the other loss column."""
+    rows = np.array(rows)
+    log = np.full((rows.shape[0], len(LOG_COLUMNS)), np.nan)
+    log[:, :2] = rows[:, :2]
+    log[:, LOG_COLUMNS.index(column)] = rows[:, 2]
+    return log
 
 
 def _resolve_labels(chain, cfg, p0, labels, keys) -> LabelVector:
@@ -396,20 +395,16 @@ def _resolve_labels(chain, cfg, p0, labels, keys) -> LabelVector:
     return labels
 
 
-def _fit_mixture(
-    chain, cfg, p0, labels, keys, record_trajectory=False, log_exact=False, on_epoch=None
-):
+def _fit_mixture(chain, cfg, p0, labels, keys, record_trajectory=False, on_epoch=None):
     """Descend with the mixture normalizer and add the final log row."""
     labels = _resolve_labels(chain, cfg, p0, labels, keys)
     normalize = partial(_key_mixture, labels)
-    X, Y, rows, trajectory = _descend(
-        chain, cfg, p0, normalize, keys, record_trajectory, log_exact, on_epoch
-    )
-    final_approx = mixture_loss(X, chain, p0, _mixture_params(Y, labels), Y=Y)
-    final_exact = exact_loss(X, chain, p0) if log_exact else np.nan
-    rows.append((cfg.n_epochs, 0.0, final_approx, final_exact))
+    X, Y, rows, trajectory = _descend(chain, cfg, p0, normalize, keys, record_trajectory, on_epoch)
+    final = mixture_loss(X, chain, p0, _mixture_params(Y, labels), Y=Y)
+    rows.append((cfg.n_epochs, 0.0, final))
+    log = _training_log(rows, "approx_loss")
     Y = Y if keys else None
-    return FitResult(X=X, labels=labels, log=np.array(rows), trajectory=trajectory, Y=Y)
+    return FitResult(X=X, labels=labels, log=log, trajectory=trajectory, Y=Y)
 
 
 def fit(
@@ -418,7 +413,6 @@ def fit(
     p0=None,
     labels: LabelVector | None = None,
     record_trajectory: bool = False,
-    log_exact_loss: bool = False,
     on_epoch=None,
 ) -> FitResult:
     """Optimize a symmetric embedding against a row-stochastic operator.
@@ -433,9 +427,7 @@ def fit(
     ``cfg.seed``; ``on_epoch(epoch, X)`` is invoked after every update.
     """
     chain, p0 = _validated(P, p0, square="fit")
-    return _fit_mixture(
-        chain, cfg, p0, labels, False, record_trajectory, log_exact_loss, on_epoch
-    )
+    return _fit_mixture(chain, cfg, p0, labels, False, record_trajectory, on_epoch)
 
 
 def fit_exact(
@@ -462,9 +454,10 @@ def fit_exact(
         chain, cfg, p0, _exact_normalizer,
         record_trajectory=record_trajectory, on_epoch=on_epoch,
     )
-    rows.append((cfg.n_epochs, 0.0, np.nan, exact_loss(X, chain, p0)))
+    rows.append((cfg.n_epochs, 0.0, exact_loss(X, chain, p0)))
     labels = _single_class(chain.shape[0])
-    return FitResult(X=X, labels=labels, log=np.array(rows), trajectory=trajectory)
+    log = _training_log(rows, "exact_loss")
+    return FitResult(X=X, labels=labels, log=log, trajectory=trajectory)
 
 
 def fit_asymmetric(

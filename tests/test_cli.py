@@ -325,3 +325,27 @@ class TestConfigResolution:
             "--out", tmp_path / "o",
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate-z", "--samples", -1),
+            ("estimate-z", "--samples", 0),
+            ("deviation", "--nb-r", 0),
+            ("deviation", "--nb-p", 1.5),
+            ("deviation", "--nb-p", 0),
+            ("concentration", "--d", 0),
+        ],
+        ids=["samples-negative", "samples-zero", "nb-r-zero", "nb-p-above-one",
+             "nb-p-zero", "d-zero"],
+    )
+    def test_out_of_range_number_is_a_validation_error(
+        self, argv, embedding_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        extra = ("--embedding", embedding_csv) if argv[0] == "estimate-z" else ()
+        code = run(*argv, *extra, "--out", out)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error" in err and "Traceback" not in err
+        assert not out.exists()

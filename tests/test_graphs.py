@@ -175,7 +175,12 @@ def reference_supra_adjacency(edges):
     D = len(nodes)
     adj = sp.coo_matrix((wgt, (src, dst)), shape=(D, D)).tocsr()
     adj.sort_indices()
-    return SupraGraph(nodes=nodes, index=index, adjacency=adj)
+    return SupraGraph(nodes=np.array(nodes, dtype=np.int64), adjacency=adj)
+
+
+def node_lookup(graph):
+    """Temporal node number of every (node id, snapshot) pair."""
+    return {(int(i), int(t)): k for k, (i, t) in enumerate(graph.nodes)}
 
 
 def reference_is_time_respecting(graph):
@@ -220,12 +225,13 @@ class TestSupraAdjacency:
         by hand.  The t=1 contact feeds both next activations; the t=2
         contact has no follow-up activation to point at."""
         graph = supra_adjacency(toy_contacts())
-        assert graph.nodes == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert graph.nodes.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
+        index = node_lookup(graph)
         expected = np.zeros((4, 4))
-        expected[graph.index[(1, 1)], graph.index[(1, 2)]] = 1.0  # self chain
-        expected[graph.index[(2, 1)], graph.index[(2, 2)]] = 1.0  # self chain
-        expected[graph.index[(1, 1)], graph.index[(2, 2)]] = 1.0  # cross, weight w=1
-        expected[graph.index[(2, 1)], graph.index[(1, 2)]] = 1.0  # mirrored cross
+        expected[index[(1, 1)], index[(1, 2)]] = 1.0  # self chain
+        expected[index[(2, 1)], index[(2, 2)]] = 1.0  # self chain
+        expected[index[(1, 1)], index[(2, 2)]] = 1.0  # cross, weight w=1
+        expected[index[(2, 1)], index[(1, 2)]] = 1.0  # mirrored cross
         np.testing.assert_array_equal(graph.adjacency.toarray(), expected)
 
     def test_cross_edges_carry_contact_weights(self):
@@ -234,8 +240,9 @@ class TestSupraAdjacency:
         )
         graph = supra_adjacency(edges)
         A = graph.adjacency.toarray()
-        assert A[graph.index[(1, 1)], graph.index[(2, 2)]] == 5.0
-        assert A[graph.index[(1, 1)], graph.index[(1, 2)]] == 1.0
+        index = node_lookup(graph)
+        assert A[index[(1, 1)], index[(2, 2)]] == 5.0
+        assert A[index[(1, 1)], index[(1, 2)]] == 1.0
 
     def test_random_temporal_graphs_respect_time(self):
         rng = np.random.default_rng(11)
@@ -260,8 +267,8 @@ class TestSupraAdjacency:
     def test_bitwise_equal_to_reference_builder(self, edges):
         graph = supra_adjacency(edges)
         ref = reference_supra_adjacency(edges)
-        assert graph.nodes == ref.nodes
-        assert graph.index == ref.index
+        assert graph.nodes.dtype == ref.nodes.dtype == np.int64
+        assert graph.nodes.tobytes() == ref.nodes.tobytes()
         for name in ("indptr", "indices", "data"):
             got, want = getattr(graph.adjacency, name), getattr(ref.adjacency, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -272,8 +279,9 @@ class TestSupraAdjacency:
     def test_edge_not_forward_in_time_detected(self, a, b):
         graph = supra_adjacency(toy_contacts())
         A = graph.adjacency.toarray()
-        A[graph.index[a], graph.index[b]] = 1.0
-        broken = SupraGraph(graph.nodes, graph.index, sp.csr_matrix(A))
+        index = node_lookup(graph)
+        A[index[a], index[b]] = 1.0
+        broken = SupraGraph(graph.nodes, sp.csr_matrix(A))
         assert broken.is_time_respecting() is False
 
     def test_row_normalized_supra_feeds_the_optimizer(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from edrep.errors import ValidationError
 from edrep.mixture import (
     LabelVector,
+    MixtureParams,
     _class_means,
     class_moments,
     estimate_mixture,
@@ -368,3 +369,29 @@ class TestSingletonMixture:
         np.testing.assert_allclose(params.pi, np.full(9, 1 / 9))
         np.testing.assert_array_equal(params.mu, Y)
         assert not params.omega.any()
+
+
+class TestMixtureParamsChecks:
+    @staticmethod
+    def params(omega):
+        k, d = omega.shape[:2]
+        return MixtureParams(pi=np.full(k, 1 / k), mu=np.zeros((k, d)), omega=omega, m=k)
+
+    def test_non_psd_class_among_zero_covariances_is_named(self):
+        omega = np.zeros((4, 2, 2))
+        omega[1] = np.eye(2)
+        omega[2] = np.diag([1.0, -0.5])
+        with pytest.raises(ValidationError, match="class 3 has eigenvalue -5.000e-01"):
+            self.params(omega)
+
+    def test_asymmetric_covariance_rejected(self):
+        omega = np.zeros((3, 2, 2))
+        omega[2] = [[1.0, 0.5], [0.0, 1.0]]
+        with pytest.raises(ValidationError, match="asymmetric"):
+            self.params(omega)
+
+    def test_zero_and_psd_covariances_pass(self):
+        omega = np.zeros((3, 2, 2))
+        omega[0] = [[2.0, 1.0], [1.0, 2.0]]
+        assert self.params(omega).kappa == 3
+        assert self.params(np.zeros((5, 0, 0))).d == 0

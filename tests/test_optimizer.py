@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edrep.errors import NumericError, ValidationError
+from edrep.errors import DimensionError, NumericError, ValidationError
 from edrep.matstore import (
     ProductChain,
     as_chain,
@@ -323,8 +323,9 @@ class TestFit:
         """Oracle: the quadratic-cost loss evaluated along the run."""
         P = random_operator(200, 22, density=0.1)
         cfg = OptimizerConfig(d=16, eta0=0.7, n_epochs=25, seed=3)
-        result = fit(P, cfg, log_exact_loss=True)
-        losses = result.log[:, 3]
+        result = fit(P, cfg, record_trajectory=True)
+        p0 = uniform_weights(200)
+        losses = [exact_loss(X, P, p0) for X in result.trajectory]
         assert losses[1] > losses[-1]
 
     def test_deterministic_given_seed(self):
@@ -367,12 +368,37 @@ class TestFit:
     def test_final_log_row_equals_the_losses_of_the_result(self):
         P = random_operator(50, 30)
         cfg = OptimizerConfig(d=5, eta0=0.7, n_epochs=4, kappa=3, seed=6)
-        result = fit(P, cfg, log_exact_loss=True)
+        result = fit(P, cfg)
         p0 = uniform_weights(50)
         params = estimate_mixture(result.X, result.labels)
         assert result.log[-1, 2] == mixture_loss(result.X, P, p0, params)
-        assert result.log[-1, 3] == exact_loss(result.X, P, p0)
+        assert np.isnan(result.log[:, 3]).all()
         assert result.Y is None
+
+    def test_every_log_row_equals_mixture_loss_of_its_iterate(self):
+        """The loop logs the same objective that ``mixture_loss`` computes:
+        row t is the loss at the iterate that epoch t starts from."""
+        for seed, n in enumerate((30, 45, 60)):
+            P = random_operator(n, 40 + seed)
+            labels = LabelVector(np.arange(n) % 3 + 1, 3)
+            cfg = OptimizerConfig(d=5, eta0=0.7, n_epochs=8, kappa=3, seed=seed)
+            result = fit(P, cfg, labels=labels, record_trajectory=True)
+            p0 = uniform_weights(n)
+            for row, X in zip(result.log, result.trajectory, strict=True):
+                params = estimate_mixture(X, labels)
+                assert row[2] == mixture_loss(X, P, p0, params)
+
+    @pytest.mark.parametrize("n", [50, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 4500])
+    def test_first_epoch_steps_along_approx_gradient(self, n):
+        """Training and ``approx_gradient`` (the gradient that the
+        finite-difference checks cover) give the same step, bit for bit."""
+        P = random_operator(n, 50, density=min(0.25, 8.0 / n))
+        labels = LabelVector(np.arange(n) % 3 + 1, 3)
+        cfg = OptimizerConfig(d=6, eta0=0.7, n_epochs=1, kappa=3, seed=5)
+        X0, X1 = fit(P, cfg, labels=labels, record_trajectory=True).trajectory
+        params = estimate_mixture(X0, labels)
+        g = approx_gradient(X0, P, uniform_weights(n), params)
+        assert X1.tobytes() == sphere_step(X0, g, cfg.eta0).tobytes()
 
     def test_provided_labels_are_respected(self):
         P = random_operator(30, 26)
@@ -489,6 +515,19 @@ class TestFitAsymmetric:
         assert exact_loss(X, P, p0, Y=X) == exact_loss(X, P, p0)
         params = estimate_mixture(X, kmeans_label(X, 2, seed=0))
         assert mixture_loss(X, P, p0, params, Y=X) == mixture_loss(X, P, p0, params)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_losses_reject_queries_that_do_not_match_the_operator(self, rows):
+        rng = np.random.default_rng(18)
+        P = random_operator(6, 38)
+        Y = unit_rows(rng, 6, 3)
+        X = Y[:rows]
+        p0 = uniform_weights(6)
+        params = estimate_mixture(Y, LabelVector(np.ones(6, dtype=np.int64), 1))
+        with pytest.raises(DimensionError, match="operator shape"):
+            exact_loss(X, P, p0, Y=Y)
+        with pytest.raises(DimensionError, match="operator shape"):
+            mixture_loss(X, P, p0, params, Y=Y)
 
     def test_both_outputs_unit_rows(self):
         P = self.rect_operator(60, 40, 32)
