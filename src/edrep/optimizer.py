@@ -350,8 +350,11 @@ def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_ep
         eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
         PY = chain.apply(Y)
         p0Y = p0 @ Y
-        pull = _pull(chain, X, PY, p0Y, p0, keys)
-        stepped, logz = _blocked_step(X, prepare(Y), pull, eta, f"after epoch {t}")
+        # The pull is left unbound so that it, its P'X and its hold on this
+        # epoch's P Y are freed with the step, not kept into the next epoch.
+        stepped, logz = _blocked_step(
+            X, prepare(Y), _pull(chain, X, PY, p0Y, p0, keys), eta, f"after epoch {t}"
+        )
         rows.append((t, eta, _objective(X, PY, p0Y, logz)))
         if keys:
             gY = -chain.apply_transpose(X) + np.outer(p0, X.sum(axis=0))
