@@ -245,10 +245,6 @@ class SupraGraph:
     nodes: np.ndarray
     adjacency: sp.csr_matrix
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.int64).reshape(-1, 2)
-        object.__setattr__(self, "nodes", nodes)
-
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]

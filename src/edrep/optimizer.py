@@ -350,8 +350,7 @@ def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_ep
         eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
         PY = chain.apply(Y)
         p0Y = p0 @ Y
-        # The pull is left unbound so that it, its P'X and its hold on this
-        # epoch's P Y are freed with the step, not kept into the next epoch.
+        # Left unbound, the pull and the P'X and P Y it holds die with the step.
         stepped, logz = _blocked_step(
             X, prepare(Y), _pull(chain, X, PY, p0Y, p0, keys), eta, f"after epoch {t}"
         )
@@ -367,16 +366,6 @@ def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_ep
         if on_epoch is not None:
             on_epoch(t, X, Y) if keys else on_epoch(t, X)
     return X, Y, rows, trajectory
-
-
-def _training_log(rows, column: str) -> np.ndarray:
-    """The (epoch, eta, loss) rows laid out as :data:`LOG_COLUMNS`, with
-    the losses in ``column`` and NaN in the other loss column."""
-    rows = np.array(rows)
-    log = np.full((rows.shape[0], len(LOG_COLUMNS)), np.nan)
-    log[:, :2] = rows[:, :2]
-    log[:, LOG_COLUMNS.index(column)] = rows[:, 2]
-    return log
 
 
 def _resolve_labels(chain, cfg, p0, labels, keys) -> LabelVector:
@@ -405,7 +394,7 @@ def _fit_mixture(chain, cfg, p0, labels, keys, record_trajectory=False, on_epoch
     X, Y, rows, trajectory = _descend(chain, cfg, p0, normalize, keys, record_trajectory, on_epoch)
     final = mixture_loss(X, chain, p0, _mixture_params(Y, labels), Y=Y)
     rows.append((cfg.n_epochs, 0.0, final))
-    log = _training_log(rows, "approx_loss")
+    log = np.array([(t, eta, loss, np.nan) for t, eta, loss in rows])
     Y = Y if keys else None
     return FitResult(X=X, labels=labels, log=log, trajectory=trajectory, Y=Y)
 
@@ -459,7 +448,7 @@ def fit_exact(
     )
     rows.append((cfg.n_epochs, 0.0, exact_loss(X, chain, p0)))
     labels = _single_class(chain.shape[0])
-    log = _training_log(rows, "exact_loss")
+    log = np.array([(t, eta, np.nan, loss) for t, eta, loss in rows])
     return FitResult(X=X, labels=labels, log=log, trajectory=trajectory)
 
 
