@@ -178,12 +178,17 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict) -> None:
     (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+def _comma_list(resolved: dict, option: str, typ) -> list:
+    """The values of a comma-list option; none at all is out of range."""
+    from .errors import ValidationError
 
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    try:
+        values = [typ(tok) for tok in str(resolved[option]).split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"--{option}: {exc}") from exc
+    if not values:
+        raise ValidationError(f"--{option} needs at least one value")
+    return values
 
 
 def _load_operator(path: str):
@@ -196,10 +201,14 @@ def _load_operator(path: str):
             manifest = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read chain manifest {path}: {exc}") from exc
-        base = Path(path).parent
-        factors = [eio.load_sparse_mm(base / f) for f in manifest["factors"]]
-        weights = manifest.get("weights")
-        return ProductChain(factors, weights=weights)
+        names = manifest.get("factors") if isinstance(manifest, dict) else None
+        if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
+            raise ValidationError(f'chain manifest {path} needs a "factors" list of file names')
+        factors = [eio.load_sparse_mm(Path(path).parent / f) for f in names]
+        try:
+            return ProductChain(factors, weights=manifest.get("weights"))
+        except ValidationError as exc:
+            raise ValidationError(f"chain manifest {path}: {exc}") from exc
     return ProductChain([eio.load_sparse_mm(path)])
 
 
@@ -300,9 +309,13 @@ def _run_fit(resolved: dict, exact: bool) -> int:
 
 def _cmd_dcsbm_bench(resolved: dict) -> int:
     from . import io as eio
+    from .errors import ValidationError
     from .evaluate import dcsbm_benchmark
     from .optimizer import OptimizerConfig
 
+    alphas = _comma_list(resolved, "alphas", float)
+    if resolved["seeds"] < 1:
+        raise ValidationError(f"--seeds must be at least 1, got {resolved['seeds']}")
     cfg = OptimizerConfig(
         d=resolved["dim"],
         eta0=resolved["eta0"],
@@ -314,7 +327,7 @@ def _cmd_dcsbm_bench(resolved: dict) -> int:
         n=resolved["n"],
         q=resolved["q"],
         c=resolved["c"],
-        alphas=_float_list(resolved["alphas"]),
+        alphas=alphas,
         seeds=range(resolved["seed"], resolved["seed"] + resolved["seeds"]),
         w=resolved["w"],
         cfg=cfg,
@@ -336,6 +349,7 @@ def _cmd_deviation(resolved: dict) -> int:
     from .matstore import as_chain, row_normalize
     from .optimizer import OptimizerConfig, fit, fit_exact
 
+    kappas = _comma_list(resolved, "kappas", int)
     # One chain serves every run: it is validated, and its transpose
     # built, once.
     operator = as_chain(
@@ -355,7 +369,7 @@ def _cmd_deviation(resolved: dict) -> int:
     rows = []
     from dataclasses import replace
 
-    for kappa in _int_list(resolved["kappas"]):
+    for kappa in kappas:
         run = fit(
             operator, replace(cfg, kappa=kappa), record_trajectory=True
         )
@@ -403,6 +417,7 @@ def _cmd_concentration(resolved: dict) -> int:
     d = resolved["d"]
     if d < 1:
         raise ValidationError(f"--d must be at least 1, got {d}")
+    m_grid = _comma_list(resolved, "m-grid", int)
     rng = np.random.default_rng(resolved["seed"])
     x = rng.standard_normal(d)
     x /= np.linalg.norm(x)
@@ -414,7 +429,7 @@ def _cmd_concentration(resolved: dict) -> int:
     table = concentration_probe(
         sampler,
         x,
-        m_grid=_int_list(resolved["m-grid"]),
+        m_grid=m_grid,
         repeats=resolved["repeats"],
         seed=resolved["seed"],
     )

@@ -172,6 +172,8 @@ def negative_binomial_graph(
     theta_i theta_j (scaled so expected degrees track the propensities,
     capped at 1).  Row-normalize the result to obtain the operator.
     """
+    if n < 1:
+        raise ValidationError(f"negative binomial graph needs n >= 1, got {n}")
     if not (r > 0 and 0 < p <= 1):
         raise ValidationError(f"negative binomial needs r > 0 and 0 < p <= 1, got r={r}, p={p}")
     rng = np.random.default_rng(seed)

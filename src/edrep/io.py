@@ -24,7 +24,7 @@ def save_dense_csv(path, X) -> None:
 def load_dense_csv(path) -> np.ndarray:
     try:
         X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read dense CSV {path}: {exc}") from exc
     return as_dense(X, name=str(path))
 
@@ -44,15 +44,15 @@ def load_dense_binary(path) -> np.ndarray:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if blob[:4] != _MAGIC:
-        raise ValidationError(f"{path} is not an EDR1 file (bad magic bytes)")
-    rows, cols = np.frombuffer(blob, dtype="<u8", count=2, offset=4)
-    data = np.frombuffer(blob, dtype="<f8", offset=4 + 16)
-    if data.size != rows * cols:
+    if blob[:4] != _MAGIC or len(blob) < 20:
+        raise ValidationError(f"{path} is not an EDR1 file (bad magic bytes or short header)")
+    rows, cols = (int(v) for v in np.frombuffer(blob, dtype="<u8", count=2, offset=4))
+    if len(blob) - 20 != 8 * rows * cols:
         raise ValidationError(
-            f"{path} declares {rows}x{cols} values but holds {data.size}"
+            f"{path} declares {rows}x{cols} values but holds {len(blob) - 20} data bytes"
         )
-    return as_dense(data.reshape(int(rows), int(cols)), name=str(path))
+    data = np.frombuffer(blob, dtype="<f8", offset=20)
+    return as_dense(data.reshape(rows, cols), name=str(path))
 
 
 def load_dense(path) -> np.ndarray:
@@ -83,7 +83,7 @@ def save_labels(path, labels) -> None:
 def load_labels(path) -> np.ndarray:
     try:
         arr = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read label file {path}: {exc}") from exc
     return arr
 
@@ -103,7 +103,7 @@ def load_temporal_csv(path):
                         f"record {k} of {path} has {len(rec)} fields, expected 4"
                     )
                 rows.append((int(rec[0]), int(rec[1]), int(rec[2]), float(rec[3])))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read temporal CSV {path}: {exc}") from exc
     if not rows:
         raise ValidationError(f"temporal CSV {path} holds no records")

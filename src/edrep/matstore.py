@@ -186,7 +186,10 @@ class ProductChain:
         if weights is None:
             self.weights = None
         else:
-            w = np.ascontiguousarray(weights, dtype=np.float64)
+            try:
+                w = np.ascontiguousarray(weights, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"prefix weights must be numbers: {exc}") from exc
             if w.shape != (len(self.factors),):
                 raise DimensionError(
                     f"got {w.size} prefix weights for {len(self.factors)} factors"
@@ -200,7 +203,7 @@ class ProductChain:
                     )
             self.weights = w
         self._transposed = None
-        self._stochastic_tol = None
+        self._stochastic = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -265,28 +268,27 @@ class ProductChain:
             self._transposed = [built[id(f)] for f in self.factors]
         return self._transposed
 
-    def validate_stochastic(self, tol: float = ROW_STOCHASTIC_TOL) -> None:
+    def validate_stochastic(self) -> None:
         """Check the chain can serve as a probability operator.
 
         Eligibility is judged on the effective operator: all factor
         entries must be nonnegative and the operator must map the
-        all-ones vector to itself within ``tol``.  Individual factors are
-        not required to be row-stochastic on their own.  The factors do
-        not change, so a chain that passed is not checked again at the
-        same or a looser tolerance.
+        all-ones vector to itself within :data:`ROW_STOCHASTIC_TOL`.
+        Individual factors are not required to be row-stochastic on their
+        own.  The factors do not change, so a chain that passed is not
+        checked again.
         """
-        if self._stochastic_tol is not None and tol >= self._stochastic_tol:
-            return
-        self._check_stochastic(tol)
-        self._stochastic_tol = tol
+        if not self._stochastic:
+            self._check_stochastic()
+            self._stochastic = True
 
-    def _check_stochastic(self, tol: float) -> None:
+    def _check_stochastic(self) -> None:
         for k, f in enumerate(self.factors):
             if f.nnz and f.data.min() < 0:
                 raise ValidationError(f"factor {k} has negative entries")
         ones = np.ones((self.shape[1], 1))
         sums = self.apply(ones).ravel()
-        bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_STOCHASTIC_TOL)
         if bad.size:
             raise ValidationError(
                 f"operator is not row-stochastic: {bad.size} rows deviate, "

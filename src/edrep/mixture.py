@@ -18,6 +18,9 @@ from .matstore import as_dense
 #: Covariance eigenvalues may undershoot zero by at most this much.
 PSD_EIG_TOL = -1e-8
 
+#: Lloyd iterations per k-means restart, if the labels keep changing.
+_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class LabelVector:
@@ -147,13 +150,7 @@ def singleton_mixture(Y: np.ndarray) -> MixtureParams:
     )
 
 
-def kmeans_label(
-    Y: np.ndarray,
-    kappa: int,
-    seed: int,
-    max_iter: int = 100,
-    restarts: int = 1,
-) -> LabelVector:
+def kmeans_label(Y: np.ndarray, kappa: int, seed: int, restarts: int = 1) -> LabelVector:
     """Cluster rows of ``Y`` with Lloyd iterations and k-means++ seeding.
 
     Deterministic given ``seed``.  Iteration stops when no label changes.
@@ -168,13 +165,15 @@ def kmeans_label(
         raise ValidationError(f"kappa must be positive, got {kappa}")
     if kappa > n:
         raise ValidationError(f"kappa={kappa} exceeds the row count {n}")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be positive, got {restarts}")
     if kappa == 1:
         return LabelVector(np.ones(n, dtype=np.int64), 1)
     rng = np.random.default_rng(seed)
     sq_norms = np.sum(Y * Y, axis=1)
     best_labels, best_inertia = None, np.inf
-    for _ in range(max(1, restarts)):
-        labels, inertia = _lloyd(Y, sq_norms, kappa, rng, max_iter)
+    for _ in range(restarts):
+        labels, inertia = _lloyd(Y, sq_norms, kappa, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return LabelVector(best_labels + 1, kappa)
@@ -218,11 +217,11 @@ def _class_means(Y, labels, k):
     return (indicator @ Y) / counts[:, None]
 
 
-def _lloyd(Y, sq_norms, k, rng, max_iter):
+def _lloyd(Y, sq_norms, k, rng):
     n = Y.shape[0]
     centers = _plus_plus_centers(Y, sq_norms, k, rng)
     labels = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         dists = _sq_dists(Y, sq_norms, centers)
         new = np.argmin(dists, axis=1)
         counts = np.bincount(new, minlength=k)

@@ -21,16 +21,11 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .matstore import as_chain, as_dense, uniform_weights, validate_regularization_weights
-from .mixture import LabelVector, MixtureParams, class_moments, kmeans_label
-from .znorm import (
-    _check_exponents,
-    _compensated_rowsum,
-    _live_classes,
-    _log_sum_exp,
-    exact_z,
-    zeta_matrix,
+from .matstore import (
+    as_chain, as_dense, rescale_embedding, uniform_weights, validate_regularization_weights
 )
+from .mixture import LabelVector, MixtureParams, class_moments, kmeans_label
+from .znorm import _exp_scores, _live_classes, _log_sum_exp, exact_z, zeta_matrix
 
 #: Tangential rows whose norm falls below this fraction of the full
 #: gradient row norm count as vanished: below that scale the direction
@@ -43,7 +38,9 @@ _UNIT_ROW_TOL = 1e-10
 #: fastest of 256 to 8192 and of whole matrices, at kappa = 1 (171k rows,
 #: 2.9 s against 4.1 s whole) and kappa = 8 (100k rows, 7.2 s against 8.7 s).
 _BLOCK_ROWS = 2048
-#: Score rows held at once by the exact normalizer (each is m wide).
+#: Score rows held at once by the exact normalizer (each is m wide).  At
+#: 256 rows the term (E / z) @ Y changes in its last bits at some shapes
+#: (777 x 1333 x 7, 2049 x 2049 x 32), so training keeps 1024.
 _EXACT_BLOCK = 1024
 _EXACT_SIZE_GUARD = 20000
 
@@ -94,13 +91,6 @@ class FitResult:
 
 
 LOG_COLUMNS = ("epoch", "eta", "approx_loss", "exact_loss")
-
-
-def _unit_rows(M: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(M, axis=1)
-    if np.any(norms == 0):
-        raise NumericError("degenerate zero row during initialization")
-    return M / norms[:, None]
 
 
 def _assert_unit_rows(X: np.ndarray, where: str) -> None:
@@ -245,11 +235,8 @@ def _exact_normalizer(Y: np.ndarray):
         logz = np.empty(X.shape[0])
         term = np.empty_like(X)
         for lo in range(0, X.shape[0], _EXACT_BLOCK):
-            hi = min(lo + _EXACT_BLOCK, X.shape[0])
-            S = X[lo:hi] @ Y.T
-            _check_exponents(S)
-            E = np.exp(S)
-            z = _compensated_rowsum(E)
+            hi = lo + _EXACT_BLOCK
+            E, z = _exp_scores(X[lo:hi], Y)
             term[lo:hi] = (E / z[:, None]) @ Y
             logz[lo:hi] = np.log(z)
         return logz, term
@@ -341,8 +328,8 @@ def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_ep
     """
     n, m = chain.shape
     rng = np.random.default_rng(cfg.seed)
-    X = _unit_rows(rng.standard_normal((n, cfg.d)))
-    Y = _unit_rows(rng.standard_normal((m, cfg.d))) if keys else X
+    X = rescale_embedding(rng.standard_normal((n, cfg.d)), "unit-rows")
+    Y = rescale_embedding(rng.standard_normal((m, cfg.d)), "unit-rows") if keys else X
     _assert_unit_rows(X, "after initialization")
     trajectory = [X.copy()] if record_trajectory else None
     rows = []

@@ -215,6 +215,31 @@ class TestSupra:
         assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "command, option, name, content",
+    [
+        ("supra", "--input", "edges.csv", b"x,3,1,1.0\n"),
+        ("estimate-z", "--embedding", "emb.csv", b"0.1,0.2\nfive,0.3\n"),
+        ("estimate-z", "--embedding", "emb.edr1", b"EDR1\x02\x00"),
+        ("fit", "--operator", "chain.json", b'{"weights": [1.0]}'),
+        ("fit", "--operator", "chain.json", b'["P.mtx"]'),
+        ("fit", "--operator", "chain.json", b'{"factors": ["P.mtx"], "weights": ["x"]}'),
+    ],
+    ids=["supra-word", "csv-word", "edr1-short", "manifest-no-factors",
+         "manifest-list", "manifest-word-weight"],
+)
+def test_malformed_input_file_is_a_validation_error(
+    command, option, name, content, operator_mtx, tmp_path, capsys
+):
+    path = tmp_path / name
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert run(command, option, path, "--out", out) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error" in err and name in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestConcentration:
     def test_writes_three_column_table(self, tmp_path):
         out = tmp_path / "out"
@@ -335,9 +360,17 @@ class TestConfigResolution:
             ("deviation", "--nb-p", 1.5),
             ("deviation", "--nb-p", 0),
             ("concentration", "--d", 0),
+            ("dcsbm-bench", "--seeds", 0),
+            ("dcsbm-bench", "--alphas", ","),
+            ("deviation", "--kappas", ","),
+            ("deviation", "--n", 0),
+            ("concentration", "--m-grid", ","),
+            ("concentration", "--m-grid", 0),
+            ("concentration", "--m-grid", -5),
         ],
         ids=["samples-negative", "samples-zero", "nb-r-zero", "nb-p-above-one",
-             "nb-p-zero", "d-zero"],
+             "nb-p-zero", "d-zero", "seeds-zero", "alphas-empty", "kappas-empty",
+             "n-zero", "m-grid-empty", "m-grid-zero", "m-grid-negative"],
     )
     def test_out_of_range_number_is_a_validation_error(
         self, argv, embedding_csv, tmp_path, capsys
@@ -348,4 +381,16 @@ class TestConfigResolution:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "validation error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("dcsbm-bench", "--alphas", "1,x"), ("deviation", "--kappas", "1,y")],
+        ids=["alphas", "kappas"],
+    )
+    def test_unparsable_list_item_is_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{argv[1]}:" in err and "Traceback" not in err
         assert not out.exists()

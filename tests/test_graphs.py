@@ -145,6 +145,11 @@ class TestNegativeBinomialGraph:
         deg = np.asarray(A.sum(axis=1)).ravel()
         assert deg.std() > 1.0
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_node_count_must_be_positive(self, n):
+        with pytest.raises(ValidationError, match="n >= 1"):
+            negative_binomial_graph(n)
+
 
 def reference_supra_adjacency(edges):
     """Oracle: the supra graph built by scanning every record once per

@@ -100,6 +100,26 @@ def test_missing_files_raise_validation_errors(tmp_path):
             loader(tmp_path / "missing.file")
 
 
+@pytest.mark.parametrize(
+    "loader, content",
+    [
+        (eio.load_dense_csv, b"1.0,five\n"),
+        (eio.load_dense_binary, b"EDR1" + bytes(8)),
+        (eio.load_dense_binary, b"EDR1" + np.array([2, 2], dtype="<u8").tobytes() + bytes(12)),
+        (eio.load_labels, b"1\ntwo\n"),
+        (eio.load_temporal_csv, b"x,3,1,1.0\n"),
+        (eio.load_temporal_csv, b"1,3,1,heavy\n"),
+    ],
+    ids=["csv-word", "edr1-short-header", "edr1-partial-value", "labels-word",
+         "temporal-node", "temporal-weight"],
+)
+def test_malformed_files_raise_validation_errors_naming_the_file(loader, content, tmp_path):
+    path = tmp_path / "input.file"
+    path.write_bytes(content)
+    with pytest.raises(ValidationError, match="input.file"):
+        loader(path)
+
+
 def test_table_csv_is_deterministic(tmp_path):
     rows = [(1, 0.1234567890123456789, 3.0)]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -162,6 +162,12 @@ class TestKmeansLabel:
         with pytest.raises(ValidationError):
             kmeans_label(Y, 0, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_must_be_positive(self, restarts):
+        Y = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValidationError, match="restarts"):
+            kmeans_label(Y, 2, seed=0, restarts=restarts)
+
 
 def clustered_rows(n, d, distinct, seed):
     """``n`` rows drawn, with repeats, from ``distinct`` random points plus noise
@@ -205,7 +211,7 @@ class TestKmeansOracle:
     def test_repair_never_empties_a_class(self, monkeypatch):
         # A repair that steals the only member of a class empties it: its
         # center becomes 0/0 = NaN, and on these rows the labels then
-        # alternate between two states for all max_iter iterations.
+        # alternate between two states for every Lloyd iteration.
         from edrep import mixture
 
         centers = []
@@ -219,7 +225,7 @@ class TestKmeansOracle:
         Y = clustered_rows(16, 3, 4, 1)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            got = kmeans_label(Y, 16, seed=1, max_iter=100)
+            got = kmeans_label(Y, 16, seed=1)
         assert len(centers) < 100  # a converged iteration computes no centers
         assert all(np.isfinite(c).all() for c in centers)
         np.testing.assert_array_equal(got.counts(), np.ones(16, dtype=np.int64))

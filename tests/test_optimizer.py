@@ -486,6 +486,20 @@ class TestFitExact:
         assert result.log[-1, 3] == exact_loss(result.X, P, uniform_weights(40))
         assert np.isnan(result.log[:, 2]).all()
 
+    @pytest.mark.parametrize("n", [40, 300, _BLOCK_ROWS, 2500])
+    def test_every_log_row_equals_exact_loss_of_its_iterate(self, n):
+        """The loop and ``exact_loss`` take log Z from the same score
+        kernel: bitwise equal within one row block of the loop; above it
+        the loop adds its per-block log Z totals in another order."""
+        P = random_operator(n, 60, density=min(0.25, 8.0 / n))
+        cfg = OptimizerConfig(d=4, eta0=0.7, n_epochs=3, seed=5)
+        result = fit_exact(P, cfg, record_trajectory=True)
+        p0 = uniform_weights(n)
+        rtol = 0.0 if n <= _BLOCK_ROWS else 1e-14
+        for row, X in zip(result.log, result.trajectory, strict=True):
+            expected = exact_loss(X, P, p0)
+            assert abs(row[3] - expected) <= rtol * abs(expected)
+
     def test_size_guard(self):
         P = random_operator(10, 30)
         cfg = OptimizerConfig(d=2, seed=0)

@@ -34,10 +34,10 @@ class TestExactZ:
     def test_matches_extended_precision_sum(self):
         """Oracle: math.fsum of the exponentials, row by row."""
         rng = np.random.default_rng(1)
-        X = rng.standard_normal((100, 8)) * 0.5
+        X = rng.standard_normal((300, 8)) * 0.5  # the last row block is partial
         Y = rng.standard_normal((100, 8)) * 0.5
-        z = exact_z(X, Y, block_rows=17)  # uneven blocks on purpose
-        for i in range(100):
+        z = exact_z(X, Y)
+        for i in range(300):
             oracle = math.fsum(math.exp(v) for v in (X[i] @ Y.T))
             assert abs(z.values[i] - oracle) / oracle < 1e-12
 
@@ -51,15 +51,10 @@ class TestExactZ:
         np.testing.assert_allclose(a.values, b.values, rtol=1e-13)
 
     def test_self_term_contributes_its_own_exponential(self):
+        """Without keys the sum runs over X itself, the a = i term included."""
         rng = np.random.default_rng(3)
-        X = rescale_embedding(rng.standard_normal((50, 6)), "unit-rows")
-        with_self = exact_z(X)
-        without = exact_z(X, include_self=False)
-        assert with_self.includes_self and not without.includes_self
-        diff = with_self.values - without.values
-        np.testing.assert_allclose(
-            diff, np.exp(np.sum(X * X, axis=1)), rtol=1e-11
-        )
+        X = rescale_embedding(rng.standard_normal((300, 6)), "unit-rows")
+        assert exact_z(X).values.tobytes() == exact_z(X, X.copy()).values.tobytes()
 
     def test_overflow_guard_advises_rescaling(self):
         X = np.full((1, 1), 30.0)
@@ -193,6 +188,7 @@ class TestKernelZ:
         a = KernelFeatureMap.from_seed(5, 64, 42)
         b = KernelFeatureMap.from_seed(5, 64, 42)
         np.testing.assert_array_equal(a.W, b.W)
+        assert a.D == 64
 
     def test_unknown_variant_rejected(self):
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
@@ -258,6 +254,14 @@ class TestConcentrationProbe:
         table = concentration_probe(sampler, x, [500, 2000], repeats=200, seed=12)
         ratio = table[0, 2] / table[1, 2]
         assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
+
+    @pytest.mark.parametrize("m_grid", [[10, 0], [-5], []])
+    def test_key_counts_must_be_positive(self, m_grid):
+        def sampler(m, rng):
+            return rng.standard_normal((m, 2))
+
+        with pytest.raises(ValidationError, match="key counts"):
+            concentration_probe(sampler, np.array([1.0, 0.0]), m_grid, 5)
 
     def test_tail_bound_anchor_is_vacuous_at_matched_scale(self):
         # At deviation threshold 4*e*h/sqrt(m) the tail bound evaluates to
