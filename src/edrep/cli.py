@@ -3,9 +3,13 @@
 Subcommands: estimate-z, fit, fit-exact, dcsbm-bench, deviation, supra,
 concentration.  Every option can come from a flat key = value config
 file (--config); explicit flags win over the file, the file wins over
-built-in defaults.  Each run writes its resolved configuration next to
-its outputs.  EDREP_SEED provides the default seed.  Exit codes:
+built-in defaults.  EDREP_SEED provides the default seed.  Exit codes:
 0 success, 1 usage error, 2 validation error, 3 numeric error.
+
+Every handler checks its options, and builds its config objects, before
+its first expensive call; checks that need the input run right after it
+is loaded.  It returns the directory it wrote its outputs into, and
+main writes the resolved configuration there as run_config.txt.
 
 Heavy numerical imports happen inside the command handlers so that
 --threads can cap BLAS pools before they initialize; the same cap sizes
@@ -19,6 +23,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+from .errors import NumericError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,17 +53,20 @@ class _UsageError(Exception):
 
 # Per-subcommand option tables: name -> (type, default, help).  A default
 # of None marks a required option; "ENV_SEED" defers to EDREP_SEED.
+_OUT = {"out": (str, None, "output directory")}
+
 _COMMON = {
-    "out": (str, None, "output directory"),
+    **_OUT,
     "seed": (int, "ENV_SEED", "random seed (default: EDREP_SEED or 0)"),
 }
 
-_FIT_OPTS = {
+_TRAIN_OPTS = {
     "dim": (int, 32, "embedding dimension"),
     "eta0": (float, 0.7, "initial learning rate in (0, 1]"),
     "epochs": (int, 25, "number of training epochs"),
-    "kappa": (int, 1, "mixture order"),
 }
+
+_FIT_OPTS = {**_TRAIN_OPTS, "kappa": (int, 1, "mixture order")}
 
 _OPTION_TABLES = {
     "estimate-z": {
@@ -76,9 +85,7 @@ _OPTION_TABLES = {
     },
     "fit-exact": {
         "operator": (str, None, "row-stochastic operator (.mtx) or chain manifest (.json)"),
-        "dim": (int, 32, "embedding dimension"),
-        "eta0": (float, 0.7, "initial learning rate in (0, 1]"),
-        "epochs": (int, 25, "number of training epochs"),
+        **_TRAIN_OPTS,
         **_COMMON,
     },
     "dcsbm-bench": {
@@ -97,12 +104,12 @@ _OPTION_TABLES = {
         "kappas": (str, "1,8", "comma list of mixture orders to compare"),
         "nb-r": (int, 3, "negative binomial r parameter"),
         "nb-p": (float, 0.3, "negative binomial p parameter"),
-        **_FIT_OPTS,
+        **_TRAIN_OPTS,
         **_COMMON,
     },
     "supra": {
         "input": (str, None, "temporal edge CSV (i, j, t, w)"),
-        **_COMMON,
+        **_OUT,
     },
     "concentration": {
         "d": (int, 20, "key vector dimension"),
@@ -178,12 +185,17 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict) -> None:
     (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n")
 
 
+def _out_dir(resolved: dict) -> Path:
+    """The output directory, made when the first file goes into it."""
+    out_dir = Path(resolved["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _comma_list(resolved: dict, option: str, typ) -> list:
     """The values of a comma-list option; none at all is out of range."""
-    from .errors import ValidationError
-
     try:
-        values = [typ(tok) for tok in str(resolved[option]).split(",") if tok.strip()]
+        values = [typ(tok.strip()) for tok in str(resolved[option]).split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"--{option}: {exc}") from exc
     if not values:
@@ -191,9 +203,28 @@ def _comma_list(resolved: dict, option: str, typ) -> list:
     return values
 
 
+def _optimizer_config(resolved: dict, kappa: int | None = None):
+    """The training options as an OptimizerConfig; the mixture order is
+    ``kappa`` if given, else the --kappa option, else 1."""
+    from .optimizer import OptimizerConfig
+
+    return OptimizerConfig(
+        d=resolved["dim"],
+        eta0=resolved["eta0"],
+        n_epochs=resolved["epochs"],
+        kappa=resolved.get("kappa", 1) if kappa is None else kappa,
+        seed=resolved["seed"],
+    )
+
+
+def _check_kappa(kappa: int, rows: int, what: str) -> None:
+    """A mixture order needs at least one row per class."""
+    if not 1 <= kappa <= rows:
+        raise ValidationError(f"kappa={kappa} must lie between 1 and the {rows} rows of {what}")
+
+
 def _load_operator(path: str):
     from . import io as eio
-    from .errors import ValidationError
     from .matstore import ProductChain
 
     if str(path).endswith(".json"):
@@ -212,23 +243,25 @@ def _load_operator(path: str):
     return ProductChain([eio.load_sparse_mm(path)])
 
 
-def _cmd_estimate_z(resolved: dict) -> int:
+def _cmd_estimate_z(resolved: dict) -> Path:
     import numpy as np
 
     from . import io as eio
-    from .errors import ValidationError
     from .mixture import estimate_mixture, kmeans_label
     from .znorm import KernelFeatureMap, approx_z, error_cdf, exact_z, kernel_z
 
-    methods = [m.strip() for m in resolved["methods"].split(",") if m.strip()]
-    known = {"exact", "mixture", "performer", "rfa"}
-    bad = set(methods) - known
+    methods = _comma_list(resolved, "methods", str)
+    bad = set(methods) - {"exact", "mixture", "performer", "rfa"}
     if bad:
         raise ValidationError(f"unknown estimation method(s): {sorted(bad)}")
     if resolved["samples"] < 1:
         raise ValidationError(f"--samples must be at least 1, got {resolved['samples']}")
     emb = eio.load_dense(resolved["embedding"])
     n, d = emb.shape
+    if "mixture" in methods:
+        _check_kappa(resolved["kappa"], n, "the embedding")
+    if {"performer", "rfa"} & set(methods):
+        fmap = KernelFeatureMap.from_seed(d, resolved["features"], resolved["seed"])
     rng = np.random.default_rng(resolved["seed"])
     count = min(resolved["samples"], n)
     idx = np.sort(rng.choice(n, size=count, replace=False))
@@ -242,11 +275,9 @@ def _cmd_estimate_z(resolved: dict) -> int:
             labels = kmeans_label(emb, resolved["kappa"], seed=resolved["seed"])
             estimates[method] = approx_z(queries, estimate_mixture(emb, labels))
         else:
-            fmap = KernelFeatureMap.from_seed(d, resolved["features"], resolved["seed"])
             estimates[method] = kernel_z(queries, emb, fmap, method)
 
-    out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(resolved)
     for method, est in estimates.items():
         eio.save_table_csv(
             out_dir / f"z_{method}.csv",
@@ -263,39 +294,29 @@ def _cmd_estimate_z(resolved: dict) -> int:
                 table,
                 header=["relative_error", "cumulative_fraction"],
             )
-    _write_manifest(out_dir, "estimate-z", resolved)
-    return EXIT_OK
+    return out_dir
 
 
-def _run_fit(resolved: dict, exact: bool) -> int:
+def _run_fit(resolved: dict, exact: bool) -> Path:
     from . import io as eio
-    from .optimizer import LOG_COLUMNS, OptimizerConfig, fit, fit_exact
+    from .optimizer import LOG_COLUMNS, fit, fit_exact
 
-    chain = _load_operator(resolved["operator"])
-    cfg = OptimizerConfig(
-        d=resolved["dim"],
-        eta0=resolved["eta0"],
-        n_epochs=resolved["epochs"],
-        kappa=1 if exact else resolved["kappa"],
-        seed=resolved["seed"],
-    )
-    out_dir = Path(resolved["out"])
-
-    # The fit validates the operator; the output directory is made only
-    # once there is something to write into it.
-    on_epoch = None
+    cfg = _optimizer_config(resolved)
     every = resolved.get("checkpoint-every", 0)
+    if every < 0:
+        raise ValidationError(f"--checkpoint-every must be at least 0, got {every}")
+    # The fit validates the operator.
+    chain = _load_operator(resolved["operator"])
+    _check_kappa(cfg.kappa, chain.shape[0], "the operator")
+
+    on_epoch = None
     if every:
         def on_epoch(t, X):
             if (t + 1) % every == 0:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                eio.save_dense_binary(out_dir / f"embedding_epoch{t + 1:04d}.edr1", X)
+                eio.save_dense_binary(_out_dir(resolved) / f"embedding_epoch{t + 1:04d}.edr1", X)
 
-    if exact:
-        result = fit_exact(chain, cfg, on_epoch=on_epoch)
-    else:
-        result = fit(chain, cfg, on_epoch=on_epoch)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    result = (fit_exact if exact else fit)(chain, cfg, on_epoch=on_epoch)
+    out_dir = _out_dir(resolved)
     eio.save_dense_binary(out_dir / "embedding.edr1", result.X)
     eio.save_table_csv(
         out_dir / "training_log.csv",
@@ -303,26 +324,17 @@ def _run_fit(resolved: dict, exact: bool) -> int:
         header=list(LOG_COLUMNS),
     )
     eio.save_labels(out_dir / "labels.txt", result.labels)
-    _write_manifest(out_dir, "fit-exact" if exact else "fit", resolved)
-    return EXIT_OK
+    return out_dir
 
 
-def _cmd_dcsbm_bench(resolved: dict) -> int:
+def _cmd_dcsbm_bench(resolved: dict) -> Path:
     from . import io as eio
-    from .errors import ValidationError
     from .evaluate import dcsbm_benchmark
-    from .optimizer import OptimizerConfig
 
     alphas = _comma_list(resolved, "alphas", float)
     if resolved["seeds"] < 1:
         raise ValidationError(f"--seeds must be at least 1, got {resolved['seeds']}")
-    cfg = OptimizerConfig(
-        d=resolved["dim"],
-        eta0=resolved["eta0"],
-        n_epochs=resolved["epochs"],
-        kappa=resolved["kappa"],
-        seed=resolved["seed"],
-    )
+    # The benchmark checks its whole grid before it samples a graph.
     rows = dcsbm_benchmark(
         n=resolved["n"],
         q=resolved["q"],
@@ -330,26 +342,27 @@ def _cmd_dcsbm_bench(resolved: dict) -> int:
         alphas=alphas,
         seeds=range(resolved["seed"], resolved["seed"] + resolved["seeds"]),
         w=resolved["w"],
-        cfg=cfg,
+        cfg=_optimizer_config(resolved),
         theta_recipe=resolved["theta-recipe"],
     )
-    out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(resolved)
     eio.save_table_csv(
         out_dir / "bench.csv", rows, header=["alpha", "seed", "nmi", "wall_time"]
     )
-    _write_manifest(out_dir, "dcsbm-bench", resolved)
-    return EXIT_OK
+    return out_dir
 
 
-def _cmd_deviation(resolved: dict) -> int:
+def _cmd_deviation(resolved: dict) -> Path:
     from . import io as eio
     from .evaluate import deviation_ct
     from .graphs import negative_binomial_graph
     from .matstore import as_chain, row_normalize
-    from .optimizer import OptimizerConfig, fit, fit_exact
+    from .optimizer import fit, fit_exact
 
     kappas = _comma_list(resolved, "kappas", int)
+    reference_cfg = _optimizer_config(resolved)
+    configs = [_optimizer_config(resolved, kappa) for kappa in kappas]
+    _check_kappa(max(kappas), resolved["n"], "the comparison graph")
     # One chain serves every run: it is validated, and its transpose
     # built, once.
     operator = as_chain(
@@ -359,59 +372,43 @@ def _cmd_deviation(resolved: dict) -> int:
             )
         )
     )
-    cfg = OptimizerConfig(
-        d=resolved["dim"],
-        eta0=resolved["eta0"],
-        n_epochs=resolved["epochs"],
-        seed=resolved["seed"],
-    )
-    reference = fit_exact(operator, cfg, record_trajectory=True)
+    reference = fit_exact(operator, reference_cfg, record_trajectory=True)
     rows = []
-    from dataclasses import replace
-
-    for kappa in kappas:
-        run = fit(
-            operator, replace(cfg, kappa=kappa), record_trajectory=True
-        )
+    for cfg in configs:
+        run = fit(operator, cfg, record_trajectory=True)
         ct = deviation_ct(run.trajectory, reference.trajectory)
-        rows += [(kappa, epoch, value) for epoch, value in enumerate(ct)]
-    out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+        rows += [(cfg.kappa, epoch, value) for epoch, value in enumerate(ct)]
+    out_dir = _out_dir(resolved)
     eio.save_table_csv(out_dir / "deviation.csv", rows, header=["kappa", "epoch", "ct"])
-    _write_manifest(out_dir, "deviation", resolved)
-    return EXIT_OK
+    return out_dir
 
 
-def _cmd_supra(resolved: dict) -> int:
+def _cmd_supra(resolved: dict) -> Path:
     from . import io as eio
-    from .errors import NumericError
     from .graphs import supra_adjacency
 
     edges = eio.load_temporal_csv(resolved["input"])
     graph = supra_adjacency(edges)
     if not graph.is_time_respecting():
         raise NumericError("supra graph violates time ordering; this is a bug")
-    out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(resolved)
     eio.save_sparse_mm(out_dir / "supra.mtx", graph.adjacency)
     eio.save_table_csv(
         out_dir / "supra_nodes.csv",
         [(k, node, t) for k, (node, t) in enumerate(graph.nodes.tolist())],
         header=["index", "node", "time"],
     )
-    _write_manifest(out_dir, "supra", resolved)
     print(
         f"supra graph: {graph.n_nodes} temporal nodes, "
         f"{graph.adjacency.nnz} edges, time-respecting order verified"
     )
-    return EXIT_OK
+    return out_dir
 
 
-def _cmd_concentration(resolved: dict) -> int:
+def _cmd_concentration(resolved: dict) -> Path:
     import numpy as np
 
     from . import io as eio
-    from .errors import ValidationError
     from .znorm import concentration_probe
 
     d = resolved["d"]
@@ -426,18 +423,13 @@ def _cmd_concentration(resolved: dict) -> int:
         Y = gen.standard_normal((m, d))
         return Y / np.linalg.norm(Y, axis=1)[:, None]
 
+    # The probe checks the key counts and repeats before it draws.
     table = concentration_probe(
-        sampler,
-        x,
-        m_grid=m_grid,
-        repeats=resolved["repeats"],
-        seed=resolved["seed"],
+        sampler, x, m_grid=m_grid, repeats=resolved["repeats"], seed=resolved["seed"]
     )
-    out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(resolved)
     eio.save_table_csv(out_dir / "concentration.csv", table, header=["m", "mean", "std"])
-    _write_manifest(out_dir, "concentration", resolved)
-    return EXIT_OK
+    return out_dir
 
 
 _HANDLERS = {
@@ -460,11 +452,11 @@ def main(argv=None) -> int:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 
-    from .errors import NumericError, ValidationError
-
     try:
         resolved = _resolve(args.command, args)
-        return _HANDLERS[args.command](resolved)
+        out_dir = _HANDLERS[args.command](resolved)
+        _write_manifest(out_dir, args.command, resolved)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"edrep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

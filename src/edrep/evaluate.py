@@ -109,17 +109,22 @@ def dcsbm_benchmark(
     """Run the community pipeline over a hardness grid.
 
     Returns tidy rows (alpha, seed, nmi, wall_time), one per
-    alpha/seed combination.
+    alpha/seed combination.  Every grid cell, the walk window and the
+    mixture order are checked before the first graph is sampled.
     """
+    grid = [
+        DcsbmParams(n=n, q=q, c=c, alpha=float(alpha), theta_recipe=theta_recipe, seed=int(seed))
+        for alpha in alphas
+        for seed in seeds
+    ]
+    if w < 1:
+        raise ValidationError(f"walk window must be positive, got {w}")
+    if cfg.kappa > n:
+        raise ValidationError(f"kappa={cfg.kappa} exceeds the node count {n}")
     rows = []
-    for alpha in alphas:
-        for seed in seeds:
-            params = DcsbmParams(
-                n=n, q=q, c=c, alpha=float(alpha), theta_recipe=theta_recipe, seed=int(seed)
-            )
-            instance = dcsbm_sample(params)
-            score, wall = community_pipeline(
-                instance, w, replace(cfg, seed=int(seed))
-            )
-            rows.append((float(alpha), int(seed), score, wall))
+    for params in grid:
+        score, wall = community_pipeline(
+            dcsbm_sample(params), w, replace(cfg, seed=params.seed)
+        )
+        rows.append((params.alpha, params.seed, score, wall))
     return rows

@@ -4,6 +4,7 @@ one-integer-per-line labels, 4-column temporal edge CSV, tidy result tables."""
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,27 +89,28 @@ def load_labels(path) -> np.ndarray:
     return arr
 
 
+_TEMPORAL_DTYPE = [("i", "<i8"), ("j", "<i8"), ("t", "<i8"), ("w", "<f8")]
+
+
 def load_temporal_csv(path):
-    """Read weighted temporal edges from a 4-column CSV (i, j, t, w)."""
+    """Read weighted temporal edges from a 4-column CSV (i, j, t, w).
+
+    Blank lines and text from a '#' to the end of its line are skipped.
+    """
     from .graphs import TemporalEdgeList
 
-    rows = []
     try:
-        with open(path, newline="") as fh:
-            for k, rec in enumerate(csv.reader(fh)):
-                if not rec or rec[0].lstrip().startswith("#"):
-                    continue
-                if len(rec) != 4:
-                    raise ValidationError(
-                        f"record {k} of {path} has {len(rec)} fields, expected 4"
-                    )
-                rows.append((int(rec[0]), int(rec[1]), int(rec[2]), float(rec[3])))
+        with warnings.catch_warnings():
+            # An empty file is reported below, not as numpy's warning.
+            warnings.simplefilter("ignore", UserWarning)
+            rec = np.loadtxt(path, delimiter=",", comments="#", dtype=_TEMPORAL_DTYPE, ndmin=1)
     except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read temporal CSV {path}: {exc}") from exc
-    if not rows:
+        raise ValidationError(
+            f"cannot read temporal CSV {path} (4 fields per record: i, j, t, w): {exc}"
+        ) from exc
+    if rec.size == 0:
         raise ValidationError(f"temporal CSV {path} holds no records")
-    i, j, t, w = (np.array(col) for col in zip(*rows))
-    return TemporalEdgeList(i=i, j=j, t=t, w=w)
+    return TemporalEdgeList(i=rec["i"], j=rec["j"], t=rec["t"], w=rec["w"])
 
 
 def save_table_csv(path, rows, header: list[str]) -> None:

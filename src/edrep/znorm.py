@@ -76,7 +76,8 @@ def _compensated_rowsum(block: np.ndarray) -> np.ndarray:
 
 
 def _check_exponents(S: np.ndarray) -> None:
-    peak = np.abs(S).max(initial=0.0)
+    # Two reductions instead of np.abs(S), which would copy the block.
+    peak = max(S.max(initial=0.0), -S.min(initial=0.0))
     if peak > EXP_GUARD:
         raise NumericError(
             f"scalar product magnitude {peak:.1f} exceeds {EXP_GUARD:.0f}; "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from edrep import cli, evaluate, graphs, optimizer, znorm
 from edrep import io as eio
 from edrep.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from edrep.matstore import row_normalize
@@ -394,3 +395,104 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert f"{argv[1]}:" in err and "Traceback" not in err
         assert not out.exists()
+
+
+_EXPENSIVE = ("fit", "fit_exact", "dcsbm_sample", "negative_binomial_graph", "exact_z")
+
+
+@pytest.fixture
+def expensive_calls(monkeypatch):
+    """A list that gains the name of every call to one of the expensive
+    library functions, wherever a module has imported it."""
+    calls = []
+    for name in _EXPENSIVE:
+        for module in (optimizer, evaluate, graphs, znorm):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+_GRID = ("--n", 600, "--theta-recipe", "unit", "--seeds", 1, "--epochs", 2, "--dim", 4)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deviation", "--n", 200, "--kappas", "1,0"),
+        ("dcsbm-bench", *_GRID, "--alphas", "1,-2"),
+        ("dcsbm-bench", *_GRID, "--alphas", "1", "--w", 0),
+        ("estimate-z", "--methods", "exact,performer", "--features", 0),
+        ("estimate-z", "--methods", "exact,mixture", "--kappa", 0),
+        ("estimate-z", "--methods", ","),
+        ("fit", "--checkpoint-every", -1),
+        ("fit", "--kappa", 201),
+        ("dcsbm-bench", *_GRID, "--alphas", "1", "--kappa", 601),
+        ("deviation", "--n", 20, "--kappas", "1,21"),
+        ("estimate-z", "--methods", "exact,mixture", "--kappa", 101),
+    ],
+    ids=["deviation-kappa-zero", "dcsbm-alpha-negative", "dcsbm-window-zero",
+         "estimate-z-features-zero", "estimate-z-kappa-zero", "estimate-z-no-method",
+         "fit-checkpoint-negative", "fit-kappa-above-rows", "dcsbm-kappa-above-n",
+         "deviation-kappa-above-n", "estimate-z-kappa-above-rows"],
+)
+def test_every_option_is_checked_before_any_work(
+    argv, embedding_csv, operator_mtx, expensive_calls, tmp_path, capsys
+):
+    inputs = {"estimate-z": ("--embedding", embedding_csv), "fit": ("--operator", operator_mtx)}
+    out = tmp_path / "out"
+    code = run(*argv, *inputs.get(argv[0], ()), "--out", out)
+    assert code == EXIT_VALIDATION, capsys.readouterr().err
+    assert expensive_calls == []
+    assert not out.exists()
+
+
+def _read_cases(embedding, operator, tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("1,2,1,1.0\n1,2,2,2.0\n")
+    training = ("--dim", 3, "--epochs", 2, "--eta0", 0.5)
+    return {
+        "estimate-z": ("--embedding", embedding, "--methods", "exact,mixture,performer,rfa",
+                       "--kappa", 2, "--features", 16, "--samples", 10),
+        "fit": ("--operator", operator, *training, "--kappa", 2, "--checkpoint-every", 1),
+        "fit-exact": ("--operator", operator, *training),
+        "dcsbm-bench": ("--n", 100, "--q", 2, "--c", 8, "--alphas", "2", "--seeds", 1,
+                        "--w", 2, "--theta-recipe", "unit", *training, "--kappa", 1),
+        "deviation": ("--n", 40, "--kappas", "1,2", "--nb-r", 3, "--nb-p", 0.3, *training),
+        "supra": ("--input", edges),
+        "concentration": ("--d", 3, "--m-grid", "10,20", "--repeats", 5),
+    }
+
+
+@pytest.mark.parametrize("command", list(cli._OPTION_TABLES))
+def test_every_option_is_read(command, embedding_csv, operator_mtx, tmp_path, monkeypatch):
+    """A run that sets every option of a subcommand reads every one of
+    them: an option that no code reads must not be settable."""
+    seen = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            seen.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            seen.add(key)
+            return super().get(key, default)
+
+    handler = cli._HANDLERS[command]
+    monkeypatch.setitem(cli._HANDLERS, command, lambda resolved: handler(Recording(resolved)))
+    # Listing the options in run_config.txt is not a read.
+    write = cli._write_manifest
+    monkeypatch.setattr(
+        cli, "_write_manifest",
+        lambda out_dir, name, resolved: write(out_dir, name, dict(resolved.items())),
+    )
+    argv = _read_cases(embedding_csv, operator_mtx, tmp_path)[command]
+    assert run(command, *argv, "--out", tmp_path / "out") == EXIT_OK
+    assert sorted(set(cli._OPTION_TABLES[command]) - seen) == []

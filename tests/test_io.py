@@ -1,5 +1,8 @@
 """Round trips for every declared file format."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -86,6 +89,36 @@ def test_temporal_csv_rejects_bad_rows(tmp_path):
     empty.write_text("")
     with pytest.raises(ValidationError, match="no records"):
         eio.load_temporal_csv(empty)
+
+
+def test_temporal_csv_checks_every_row_and_skips_header(tmp_path):
+    short = tmp_path / "short.csv"
+    short.write_text("1,2,1,1.0\n2,3,2\n")
+    with pytest.raises(ValidationError, match="fields"):
+        eio.load_temporal_csv(short)
+    header = tmp_path / "header.csv"
+    header.write_text("# i,j,t,w\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="no records"):
+            eio.load_temporal_csv(header)
+
+
+def test_temporal_csv_matches_row_by_row_reference(tmp_path):
+    """The one-call reader returns bitwise the arrays of a csv-module loop."""
+    rng = np.random.default_rng(5)
+    n = 500
+    i = rng.integers(0, 40, n)
+    rows = list(zip(i, i + 1 + rng.integers(0, 9, n), rng.integers(1, 300, n), rng.random(n) + 1e-3))
+    path = tmp_path / "edges.csv"
+    eio.save_table_csv(path, rows, header=["# i", "j", "t", "w"])
+    with open(path, newline="") as fh:
+        records = [rec for rec in csv.reader(fh) if not rec[0].startswith("#")]
+    reference = [np.array([conv(rec[k]) for rec in records]) for k, conv in
+                 enumerate((int, int, int, float))]
+    edges = eio.load_temporal_csv(path)
+    for got, want in zip((edges.i, edges.j, edges.t, edges.w), reference):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_missing_files_raise_validation_errors(tmp_path):

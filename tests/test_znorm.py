@@ -1,6 +1,7 @@
 """Exact, mixture and kernel-feature normalization constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,9 +59,24 @@ class TestExactZ:
 
     def test_overflow_guard_advises_rescaling(self):
         X = np.full((1, 1), 30.0)
-        Y = np.full((1, 1), 30.0)
-        with pytest.raises(NumericError, match="rescale"):
+        for key in (30.0, -30.0):  # scores of +900 and -900
+            with pytest.raises(NumericError, match="rescale"):
+                exact_z(X, np.full((1, 1), key))
+
+    def test_peak_memory_is_one_score_block(self):
+        """The exponent guard reduces the scores in place: one 256-row
+        block of scores is the only large array ``exact_z`` allocates."""
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((256, 100)) * 0.05
+        Y = rng.standard_normal((20000, 100)) * 0.05
+        block = X.shape[0] * Y.shape[0] * 8
+        tracemalloc.start()
+        try:
             exact_z(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block
 
     def test_inner_dimension_checked(self):
         with pytest.raises(DimensionError):
