@@ -114,32 +114,41 @@ def _executor():
         return _pool
 
 
-def spmm(f: sp.csr_matrix, X: np.ndarray, threads: int) -> np.ndarray:
+def spmm(
+    f: sp.csr_matrix, X: np.ndarray, threads: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """``f @ X`` for a canonical float64 CSR ``f``, on ``threads`` threads.
 
-    The rows of ``f`` are cut into ``threads`` contiguous ranges of about
-    equal nonzero count.  Each range runs scipy's CSR kernel, the one
-    behind ``f @ X``, on views of the factor's arrays and adds straight
-    into its slice of the output, so nothing is copied.  A row's
-    products are summed in the same order as in ``f @ X``, so the result
-    is bitwise the same.
+    The product is written into ``out`` (C-contiguous float64 of shape
+    (rows of f, columns of X)), zeroed first, or into a new array, and
+    returned.  The rows of ``f`` are cut into ``threads`` contiguous
+    ranges of about equal nonzero count.  Each range runs scipy's CSR
+    kernel, the one behind ``f @ X``, on views of the factor's arrays and
+    adds straight into its slice of the output, so nothing is copied.  A
+    row's products are summed in the same order as in ``f @ X``, so the
+    result is bitwise the same.
     """
-    if threads == 1:
-        return f @ X
     X = np.ascontiguousarray(X, dtype=np.float64)
     n, d = f.shape[0], X.shape[1]
-    out = np.zeros((n, d))
-    targets = np.arange(1, threads) * (f.nnz / threads)
-    cuts = [0, *np.searchsorted(f.indptr, targets).tolist(), n]
+    if out is None:
+        out = np.zeros((n, d))
+    else:
+        out.fill(0.0)
     x = X.ravel()
+    if threads == 1:
+        _sparsetools.csr_matvecs(n, f.shape[1], d, f.indptr, f.indices, f.data, x, out.ravel())
+        return out
 
     def rows(a, b):
-        lo = f.indptr[a]
+        # The row pointers of a range index the factor's whole arrays.
         _sparsetools.csr_matvecs(
-            b - a, f.shape[1], d, f.indptr[a : b + 1] - lo,
-            f.indices[lo:], f.data[lo:], x, out[a:b].ravel(),
+            b - a, f.shape[1], d, f.indptr[a : b + 1], f.indices, f.data, x, out[a:b].ravel()
         )
 
+    # Targets in the pointers' own dtype: a float or wider search would
+    # copy the whole pointer array.
+    targets = ((np.arange(1, threads) * f.nnz + threads - 1) // threads).astype(f.indptr.dtype)
+    cuts = [0, *np.searchsorted(f.indptr, targets).tolist(), n]
     # The calling thread takes the last range itself.
     pool = _executor()
     futures = [pool.submit(rows, a, b) for a, b in zip(cuts[:-2], cuts[1:-1])]
@@ -220,18 +229,7 @@ class ProductChain:
             raise DimensionError(
                 f"operand has {X.shape[0]} rows, factor 0 expects {self.shape[1]}"
             )
-        threads = product_threads()
-        if self.weights is None:
-            out = X
-            for f in self.factors:
-                out = spmm(f, out, threads)
-            return out
-        cur = X
-        acc = np.zeros((self.shape[0], X.shape[1]))
-        for w, f in zip(self.weights, self.factors):
-            cur = spmm(f, cur, threads)
-            acc += w * cur
-        return acc
+        return self._apply(X)
 
     def apply_transpose(self, X) -> np.ndarray:
         """Compute ``P.T @ X`` as the reversed chain of transposed factors."""
@@ -240,18 +238,51 @@ class ProductChain:
             raise DimensionError(
                 f"operand has {X.shape[0]} rows, transposed chain expects {self.shape[0]}"
             )
+        return self._apply_transpose(X)
+
+    # The unchecked products below take a finite C-contiguous float64
+    # operand of the right height, as the public methods check.  Each
+    # call reuses its own buffers, a product overwriting one whose value
+    # is no longer needed, and returns a buffer of its own; no buffer
+    # outlives the call, and no more are live at once than products and
+    # sums of fresh arrays would hold.
+
+    def _apply(self, X: np.ndarray) -> np.ndarray:
+        threads = product_threads()
+        if self.weights is None:
+            return _product(self.factors, X, threads)
+        shape = (self.shape[0], X.shape[1])
+        # The result is allocated after the scratch, so it sits above it
+        # on the heap: the freed scratch then leaves no free top that
+        # malloc would return to the system, only for the next call to
+        # fault its pages in again.
+        out = np.empty(shape)
+        free = np.empty(shape) if len(self.factors) > 1 else out
+        acc = np.zeros(shape)
+        cur = X
+        for w, f in zip(self.weights, self.factors):
+            cur = spmm(f, cur, threads, out)
+            # w * cur goes to the buffer of the previous product, now
+            # consumed; with one factor, over the product itself.
+            acc += np.multiply(w, cur, out=free)
+            out, free = free, out
+        return acc
+
+    def _apply_transpose(self, X: np.ndarray) -> np.ndarray:
         threads = product_threads()
         transposed = self._transposes()
         if self.weights is None:
-            out = X
-            for ft in reversed(transposed):
-                out = spmm(ft, out, threads)
-            return out
+            return _product(transposed[::-1], X, threads)
         # Horner form of sum_t w_t (F_t ... F_0)^T X.
         acc = self.weights[-1] * X
+        spare = None
         for t in range(len(self.factors) - 2, -1, -1):
-            acc = self.weights[t] * X + spmm(transposed[t + 1], acc, threads)
-        return spmm(transposed[0], acc, threads)
+            out = spmm(transposed[t + 1], acc, threads, spare)
+            # acc is consumed: it takes the Horner term w_t X, and the sum
+            # lands in the product (addition commutes exactly).
+            out += np.multiply(self.weights[t], X, out=acc)
+            acc, spare = out, acc
+        return spmm(transposed[0], acc, threads, spare)
 
     def _transposes(self) -> list[sp.csr_matrix]:
         """CSR transposes of the factors, built once per distinct factor.
@@ -294,6 +325,19 @@ class ProductChain:
                 f"operator is not row-stochastic: {bad.size} rows deviate, "
                 f"first offenders {bad[:5].tolist()}"
             )
+
+
+def _product(factors, X: np.ndarray, threads: int) -> np.ndarray:
+    """``factors[-1] @ ... @ factors[0] @ X``; each product overwrites the
+    one before the last when their shapes match."""
+    cur, spare = X, None
+    for f in factors:
+        if spare is not None and spare.shape != (f.shape[0], X.shape[1]):
+            spare = None
+        out = spmm(f, cur, threads, spare)
+        spare = None if cur is X else cur
+        cur = out
+    return cur
 
 
 def as_chain(P) -> ProductChain:

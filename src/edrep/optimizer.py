@@ -120,9 +120,12 @@ def _entry(X, Y, P, p0):
     return X, Y, chain, validate_regularization_weights(p0, Y.shape[0])
 
 
-def _objective(X: np.ndarray, PY: np.ndarray, p0Y: np.ndarray, logz: float) -> float:
-    """-tr(X'PY) + sum_i log Z_i + tr(X'1 p0'Y), from P Y, p0 Y and the total log Z."""
-    return -float(np.vdot(X, PY)) + logz + float(X.sum(axis=0) @ p0Y)
+def _objective(X: np.ndarray, PY: np.ndarray, p0Y: np.ndarray):
+    """-tr(X'PY) + sum_i log Z_i + tr(X'1 p0'Y) as a function of the total
+    log Z.  P Y is read here, so it may be overwritten before the call."""
+    affinity = -float(np.vdot(X, PY))
+    reg = float(X.sum(axis=0) @ p0Y)
+    return lambda logz: affinity + logz + reg
 
 
 def _pull(chain, X, PY, p0Y, p0, keys):
@@ -131,7 +134,7 @@ def _pull(chain, X, PY, p0Y, p0, keys):
     -(P X + P'X) + (1 p0'X + p0 1'X)."""
     if keys:
         return lambda lo, hi: -PY[lo:hi] + p0Y
-    PtX = chain.apply_transpose(X)
+    PtX = chain._apply_transpose(X)
     xsum = X.sum(axis=0)
     return lambda lo, hi: -(PY[lo:hi] + PtX[lo:hi]) + (p0Y + np.outer(p0[lo:hi], xsum))
 
@@ -145,7 +148,7 @@ def exact_loss(X: np.ndarray, P, p0, Y: np.ndarray | None = None) -> float:
     """
     X, Y, chain, p0 = _entry(X, Y, P, p0)
     logz = float(np.log(exact_z(X, Y).values).sum())
-    return _objective(X, chain.apply(Y), p0 @ Y, logz)
+    return _objective(X, chain._apply(Y), p0 @ Y)(logz)
 
 
 def mixture_loss(
@@ -155,8 +158,11 @@ def mixture_loss(
 
     ``params`` describe the keys: the rows of ``Y`` when given, else of X."""
     X, Y, chain, p0 = _entry(X, Y, P, p0)
-    logz, _ = _normalized(_mixture_normalizer(params), X)
-    return _objective(X, chain.apply(Y), p0 @ Y, logz)
+    logz = 0.0
+    for lo, hi in _row_blocks(X.shape[0]):
+        # Log Z alone: the loss does not need the gradient term.
+        logz += float(_mixture_logz(params, X[lo:hi])[0].sum())
+    return _objective(X, chain._apply(Y), p0 @ Y)(logz)
 
 
 def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
@@ -168,7 +174,7 @@ def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
     """
     X, _, chain, p0 = _entry(X, None, P, p0)
     _, term = _normalized(_mixture_normalizer(params), X)
-    term += _pull(chain, X, chain.apply(X), p0 @ X, p0, False)(0, X.shape[0])
+    term += _pull(chain, X, chain._apply(X), p0 @ X, p0, False)(0, X.shape[0])
     return term
 
 
@@ -195,6 +201,14 @@ def _normalized(normalize, X: np.ndarray):
     return logz, term
 
 
+def _mixture_logz(params: MixtureParams, X: np.ndarray):
+    """Mixture log Z of a block of query rows, with the class
+    responsibilities and the product X [Omega_a ...] that gave it."""
+    L, XO = zeta_matrix(X, params)
+    logz, r = _log_sum_exp(L)
+    return np.log(params.m) + logz, r, XO
+
+
 def _mixture_normalizer(params: MixtureParams):
     """The mixture normalizer of the keys that ``params`` describe.
 
@@ -205,15 +219,13 @@ def _mixture_normalizer(params: MixtureParams):
     """
     d = params.d
     live = _live_classes(params)
-    log_m = np.log(params.m)
 
     def normalize(X):
-        L, XO = zeta_matrix(X, params)
-        logz, r = _log_sum_exp(L)
+        logz, r, XO = _mixture_logz(params, X)
         term = r @ params.mu
         for k, a in enumerate(live):
             term += r[:, a, None] * XO[:, k * d : (k + 1) * d]
-        return log_m + logz, term
+        return logz, term
 
     return normalize
 
@@ -293,15 +305,17 @@ def _validated(P, p0, square: str | None = None):
     return chain, p0
 
 
-def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str):
+def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str, out: np.ndarray):
     """The sphere step of every row of X, one row block at a time.
 
     A block's gradient is its normalizer term plus ``pull(lo, hi)``, the
     block of the other gradient pieces.  The step checks that the rows
     and the gradient are finite; the stepped rows must have unit norm.
-    Returns the stepped rows and the total log Z of the rows of X.
+    They are written into ``out``, each block after its gradient is made,
+    so ``out`` may hold data that only that block's pull reads (the
+    epoch passes P Y, and so allocates no array for the new rows).
+    Returns ``out`` and the total log Z of the rows of X.
     """
-    stepped = np.empty_like(X)
     logz = 0.0
     for lo, hi in _row_blocks(X.shape[0]):
         block_logz, g = normalize(X[lo:hi])
@@ -309,9 +323,9 @@ def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str):
         # The term takes the other pieces in place; addition commutes
         # exactly, so the sum does not depend on which comes first.
         g += pull(lo, hi)
-        stepped[lo:hi] = sphere_step(X[lo:hi], g, eta)
-        _assert_unit_rows(stepped[lo:hi], where)
-    return stepped, logz
+        out[lo:hi] = sphere_step(X[lo:hi], g, eta)
+        _assert_unit_rows(out[lo:hi], where)
+    return out, logz
 
 
 def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_epoch=None):
@@ -335,15 +349,17 @@ def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_ep
     rows = []
     for t in range(cfg.n_epochs):
         eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
-        PY = chain.apply(Y)
+        PY = chain._apply(Y)
         p0Y = p0 @ Y
-        # Left unbound, the pull and the P'X and P Y it holds die with the step.
+        loss = _objective(X, PY, p0Y)
+        # The step writes the new rows over P Y.  Left unbound, the pull
+        # and the P'X it holds die with the step.
         stepped, logz = _blocked_step(
-            X, prepare(Y), _pull(chain, X, PY, p0Y, p0, keys), eta, f"after epoch {t}"
+            X, prepare(Y), _pull(chain, X, PY, p0Y, p0, keys), eta, f"after epoch {t}", PY
         )
-        rows.append((t, eta, _objective(X, PY, p0Y, logz)))
+        rows.append((t, eta, loss(logz)))
         if keys:
-            gY = -chain.apply_transpose(X) + np.outer(p0, X.sum(axis=0))
+            gY = -chain._apply_transpose(X) + np.outer(p0, X.sum(axis=0))
             Y = sphere_step(Y, gY, eta)
             _assert_unit_rows(Y, f"after epoch {t} (keys)")
         X = stepped

@@ -11,13 +11,96 @@ from edrep.graphs import (
     DcsbmParams,
     SupraGraph,
     TemporalEdgeList,
+    _draw_theta,
+    _pair_edges,
     dcsbm_sample,
     negative_binomial_graph,
     solve_affinities,
     supra_adjacency,
     walk_operator,
 )
-from edrep.matstore import row_normalize
+from edrep.matstore import as_csr, row_normalize
+
+_REFERENCE_BLOCK = 256
+
+
+def reference_dcsbm_sample(params):
+    """Oracle: the dense block-model sampler, one Bernoulli draw per cell of
+    the upper triangle in row ranges of 256, each with its own substream.
+    O(n^2); labels and theta come from the same substreams as in
+    ``dcsbm_sample``.  Returns (adjacency, labels, theta, c_in, c_out)."""
+    root = np.random.SeedSequence(params.seed)
+    n_blocks = (params.n + _REFERENCE_BLOCK - 1) // _REFERENCE_BLOCK
+    streams = root.spawn(2 + n_blocks)
+    label_rng = np.random.default_rng(streams[0])
+    theta_rng = np.random.default_rng(streams[1])
+    labels = label_rng.integers(1, params.q + 1, size=params.n)
+    while np.bincount(labels, minlength=params.q + 1)[1:].min() == 0:
+        labels = label_rng.integers(1, params.q + 1, size=params.n)
+    theta = _draw_theta(params.theta_recipe, params.n, theta_rng)
+    c_in, c_out = solve_affinities(params.c, params.alpha, params.q, float(np.mean(theta**2)))
+    top = np.sort(theta)[-2:]
+    if top[0] * top[1] * c_in / params.n > 1.0:
+        raise ValidationError(f"edge probability exceeds 1 for the pair theta_i={top[1]:.4f}")
+    rows, cols = [], []
+    for b in range(n_blocks):
+        r0 = b * _REFERENCE_BLOCK
+        r1 = min(r0 + _REFERENCE_BLOCK, params.n)
+        block_rng = np.random.default_rng(streams[2 + b])
+        same = labels[r0:r1, None] == labels[None, :]
+        probs = (theta[r0:r1, None] * theta[None, :] / params.n) * np.where(same, c_in, c_out)
+        draw = block_rng.random((r1 - r0, params.n)) < probs
+        local_i, local_j = np.nonzero(draw)
+        keep = local_j > local_i + r0
+        rows.append(local_i[keep] + r0)
+        cols.append(local_j[keep])
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    adj = sp.coo_matrix(
+        (np.ones(2 * i.size), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(params.n, params.n),
+    ).tocsr()
+    adj.sort_indices()
+    return adj, labels, theta, c_in, c_out
+
+
+def reference_negative_binomial_graph(n, r=3, p=0.3, seed=0):
+    """Oracle: the dense negative-binomial graph, n x n probabilities and
+    draws.  Returns (adjacency, theta)."""
+    rng = np.random.default_rng(seed)
+    theta = rng.negative_binomial(r, p, size=n).astype(np.float64)
+    probs = np.minimum(np.outer(theta, theta) / theta.sum(), 1.0)
+    np.fill_diagonal(probs, 0.0)
+    upper = np.triu(rng.random((n, n)) < probs, k=1)
+    return as_csr(sp.csr_matrix((upper | upper.T).astype(np.float64))), theta
+
+
+def pair_probabilities(theta, classes, affinity, norm):
+    """The exact edge probability of every pair, zero on the diagonal."""
+    probs = np.minimum(
+        np.outer(theta, theta) / norm * affinity[classes[:, None], classes[None, :]], 1.0
+    )
+    np.fill_diagonal(probs, 0.0)
+    return probs
+
+
+def dcsbm_probabilities(labels, theta, c_in, c_out):
+    q = labels.max()
+    affinity = np.full((q, q), c_out)
+    np.fill_diagonal(affinity, c_in)
+    return pair_probabilities(theta, labels - 1, affinity, theta.size)
+
+
+def assert_canonical_graph(A):
+    """Symmetric 0/1 CSR with an empty diagonal, sorted and duplicate-free."""
+    assert A.format == "csr" and A.has_canonical_format
+    assert np.all(A.data == 1.0)
+    assert (A != A.T).nnz == 0
+    assert not A.diagonal().any()
+
+
+def z_score(count, probs, draws):
+    """(count - draws p) / sd for a sum of independent Bernoulli counts."""
+    return (count - draws * probs.sum()) / np.sqrt(draws * (probs * (1.0 - probs)).sum())
 
 
 class TestAffinityInversion:
@@ -95,6 +178,152 @@ class TestDcsbmSample:
         a, b = dcsbm_sample(params), dcsbm_sample(params)
         assert (a.adjacency != b.adjacency).nnz == 0
         np.testing.assert_array_equal(a.labels.labels, b.labels.labels)
+
+
+class TestEdgeSamplerOracle:
+    """The edge-linear sampler against exact pair probabilities and the
+    dense reference samplers."""
+
+    DRAWS = 2000
+
+    def pair_counts(self, theta, classes, affinity, norm):
+        n = theta.size
+        counts = np.zeros(n * n)
+        for seed in range(self.DRAWS):
+            u, v = _pair_edges(theta, classes, affinity, norm, np.random.default_rng(seed))
+            assert np.all(u != v)
+            low, high = np.minimum(u, v), np.maximum(u, v)
+            keys = low * n + high
+            assert np.unique(keys).size == keys.size  # one draw per pair
+            counts += np.bincount(keys, minlength=n * n)
+        return counts.reshape(n, n)
+
+    @pytest.mark.parametrize("design", ["blocks", "capped"])
+    def test_pair_frequencies_match_exact_probabilities(self, design):
+        rng = np.random.default_rng(21)
+        n = 100
+        if design == "blocks":
+            # Three classes and theta over a 16-fold range: several groups
+            # per class, probabilities from about 0.003 to 0.8.
+            theta = rng.uniform(0.25, 4.0, n)
+            classes = rng.integers(0, 3, n)
+            affinity = np.array([[5.0, 1.0, 0.5], [1.0, 4.0, 1.0], [0.5, 1.0, 3.0]])
+            norm = float(n)
+        else:
+            # Negative-binomial propensities with the min(., 1) cap: zero
+            # theta, capped pairs and small probabilities all occur.
+            theta = rng.negative_binomial(2, 0.2, n).astype(np.float64)
+            classes = np.zeros(n, dtype=np.int64)
+            affinity = np.ones((1, 1))
+            norm = theta.sum() / 4.0
+        probs = pair_probabilities(theta, classes, affinity, norm)
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        counts = self.pair_counts(theta, classes, affinity, norm)
+        assert not counts[~upper].any()
+        p, c = probs[upper], counts[upper]
+        assert np.all(c[p == 0.0] == 0) and np.all(c[p == 1.0] == self.DRAWS)
+        # Per pair, where the normal approximation holds; 5.5 sd is a
+        # family-wise level of about 2e-4 over the 4950 pairs.
+        var = self.DRAWS * p * (1.0 - p)
+        tested = var >= 10.0
+        assert tested.sum() > 500
+        z = (c[tested] - self.DRAWS * p[tested]) / np.sqrt(var[tested])
+        assert np.abs(z).max() < 5.5
+        # Pooled over every pair, and over the pairs too rare to test alone.
+        assert abs(z_score(c.sum(), p, self.DRAWS)) < 4.0
+        rare = (p > 0.0) & (p < 1.0) & ~tested
+        if rare.any():
+            assert abs(z_score(c[rare].sum(), p[rare], self.DRAWS)) < 4.0
+
+    def test_labels_and_theta_follow_the_reference_substreams(self):
+        for seed in range(3):
+            params = DcsbmParams(n=700, q=3, c=8.0, alpha=2.0, theta_recipe="powerlaw", seed=seed)
+            inst = dcsbm_sample(params)
+            _, labels, theta, c_in, c_out = reference_dcsbm_sample(params)
+            np.testing.assert_array_equal(inst.labels.labels, labels)
+            np.testing.assert_array_equal(inst.theta, theta)
+            assert (inst.c_in, inst.c_out) == (c_in, c_out)
+
+    @pytest.mark.parametrize("sampler", ["edge-linear", "reference"])
+    def test_block_pair_counts_and_mean_degree_match_expectation(self, sampler):
+        """Edges per block pair and in total, summed over 40 seeds, against
+        their expectation under the exact probabilities; the dense
+        reference passes the same check."""
+        q = 3
+        observed = np.zeros((q, q))
+        expected = np.zeros((q, q))
+        variance = np.zeros((q, q))
+        degree_sum, degree_expected = 0.0, 0.0
+        for seed in range(40):
+            params = DcsbmParams(n=600, q=q, c=6.0, alpha=1.5, theta_recipe="powerlaw", seed=seed)
+            if sampler == "edge-linear":
+                inst = dcsbm_sample(params)
+                A, labels, theta = inst.adjacency, inst.labels.labels, inst.theta
+                c_in, c_out = inst.c_in, inst.c_out
+            else:
+                A, labels, theta, c_in, c_out = reference_dcsbm_sample(params)
+            probs = np.triu(dcsbm_probabilities(labels, theta, c_in, c_out), k=1)
+            coo = sp.triu(A, k=1).tocoo()
+            for a in range(q):
+                for b in range(a, q):
+                    rows, cols = labels == a + 1, labels == b + 1
+                    # probs is upper triangular: a pair of blocks a != b
+                    # sits on one side of the diagonal or the other.
+                    block = probs[np.ix_(rows, cols)] + (
+                        probs[np.ix_(cols, rows)].T if a != b else 0.0
+                    )
+                    expected[a, b] += block.sum()
+                    variance[a, b] += (block * (1.0 - block)).sum()
+                    la, lb = labels[coo.row] - 1, labels[coo.col] - 1
+                    observed[a, b] += np.sum((np.minimum(la, lb) == a) & (np.maximum(la, lb) == b))
+            degree_sum += A.nnz / params.n
+            degree_expected += 2.0 * probs.sum() / params.n
+        upper = np.triu(np.ones((q, q), dtype=bool))
+        z = (observed[upper] - expected[upper]) / np.sqrt(variance[upper])
+        assert np.abs(z).max() < 4.0
+        # Mean degree is 2 E / n; its sd follows from that of the edge total.
+        assert abs(degree_sum - degree_expected) < 4.0 * 2.0 * np.sqrt(variance.sum()) / 600
+
+    def test_graphs_are_canonical_symmetric_with_empty_diagonal(self):
+        for seed in range(5):
+            for recipe in ("unit", "powerlaw"):
+                params = DcsbmParams(n=1000, q=4, c=9.0, alpha=2.0, theta_recipe=recipe, seed=seed)
+                assert_canonical_graph(dcsbm_sample(params).adjacency)
+            assert_canonical_graph(negative_binomial_graph(400, seed=seed))
+
+    def test_probability_above_one_raises_like_the_reference(self):
+        params = DcsbmParams(n=20, q=2, c=18.0, alpha=1.0, theta_recipe="powerlaw", seed=5)
+        with pytest.raises(ValidationError, match="exceeds 1"):
+            reference_dcsbm_sample(params)
+        with pytest.raises(ValidationError, match="exceeds 1"):
+            dcsbm_sample(params)
+
+    def test_negative_binomial_pairs_at_the_total_always_appear(self):
+        """Pairs whose propensity product reaches the total have
+        probability 1, in the reference and in the sampler."""
+        joined = 0
+        for seed in range(30):
+            A = negative_binomial_graph(25, r=2, p=0.2, seed=seed)
+            ref, theta = reference_negative_binomial_graph(25, r=2, p=0.2, seed=seed)
+            sure = np.outer(theta, theta) >= theta.sum()
+            np.fill_diagonal(sure, False)
+            assert np.all(A.toarray()[sure] == 1.0)
+            assert np.all(ref.toarray()[sure] == 1.0)
+            joined += sure.sum()
+        assert joined > 100
+
+    def test_negative_binomial_edge_count_matches_reference_expectation(self):
+        draws = 60
+        total, expected, variance = 0.0, 0.0, 0.0
+        for seed in range(draws):
+            A = negative_binomial_graph(200, seed=seed)
+            _, theta = reference_negative_binomial_graph(200, seed=seed)
+            probs = np.triu(pair_probabilities(theta, np.zeros(200, dtype=np.int64),
+                                               np.ones((1, 1)), theta.sum()), k=1)
+            total += A.nnz / 2
+            expected += probs.sum()
+            variance += (probs * (1.0 - probs)).sum()
+        assert abs(total - expected) < 4.0 * np.sqrt(variance)
 
 
 class TestWalkOperator:

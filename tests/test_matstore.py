@@ -3,6 +3,7 @@
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,64 @@ class TestRowSplitProducts:
         assert product_threads() == cores
         monkeypatch.delenv("OMP_NUM_THREADS")
         assert product_threads() == cores
+
+
+class TestProductBuffers:
+    """Each product call works in buffers of its own and returns one of them."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_later_calls_leave_earlier_results_alone(self, threads, monkeypatch):
+        monkeypatch.setattr(matstore, "product_threads", lambda: threads)
+        rng = np.random.default_rng(41)
+        L = row_normalize(random_sparse(60, 60, 0.1, 41) + sp.eye(60))
+        chains = [ProductChain([L] * w, weights=rng.random(w)) for w in (1, 2, 3)]
+        chains += [ProductChain([L]), ProductChain([L, L, L])]
+        chains.append(
+            ProductChain([random_sparse(40, 60, 0.2, 42), random_sparse(30, 40, 0.2, 43)])
+        )
+        for chain in chains:
+            X1, X2 = (rng.standard_normal((chain.shape[1], 4)) for _ in range(2))
+            Y1, Y2 = (rng.standard_normal((chain.shape[0], 4)) for _ in range(2))
+            inputs = [X1.copy(), Y1.copy()]
+            first = [chain.apply(X1), chain.apply_transpose(Y1)]
+            kept = [r.copy() for r in first]
+            second = [chain.apply(X2), chain.apply_transpose(Y2), chain.apply(X1)]
+            for old, saved in zip(first, kept):
+                assert old.tobytes() == saved.tobytes()
+                assert not any(np.shares_memory(old, new) for new in second)
+            assert X1.tobytes() == inputs[0].tobytes() and Y1.tobytes() == inputs[1].tobytes()
+            assert second[2].tobytes() == kept[0].tobytes()
+
+    # Peaks of one call on a 4000-node walk chain of window 3 at d = 16,
+    # in bytes above three 4000 x 16 arrays: the smallest of three runs of
+    # this test on the products that allocated a new array for every
+    # product and sum (numpy 2.4.6, scipy 1.17.1, Python 3.11).
+    PARENT_EXTRA = {
+        (1, "apply"): 1084, (1, "apply_transpose"): 888,
+        (2, "apply"): 33544, (2, "apply_transpose"): 33288,
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_no_more_than_fresh_arrays(self, threads, monkeypatch):
+        monkeypatch.setattr(matstore, "product_threads", lambda: threads)
+        n, d = 4000, 16
+        A = sp.random(n, n, density=8.0 / n, random_state=1, format="csr")
+        chain = walk_operator(A + A.T, 3)
+        X = np.random.default_rng(0).standard_normal((n, d))
+        chain.apply_transpose(X)  # builds the cached transpose (and the pool)
+        array = n * d * 8
+        peaks = {}
+        for name in ("apply", "apply_transpose"):
+            tracemalloc.start()
+            try:
+                result = getattr(chain, name)(X)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del result
+            assert peaks[name] <= 3 * array + self.PARENT_EXTRA[threads, name]
+        # The Horner sum holds two arrays where fresh ones took three.
+        assert peaks["apply_transpose"] <= 2 * array + 64 * 1024
 
 
 class TestStochasticValidation:
