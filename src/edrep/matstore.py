@@ -12,13 +12,15 @@ shared thread pool, sized by ``product_threads``; every output row is
 computed exactly as in a serial product, so results do not depend on the
 thread count.  Transposed products use an explicit CSR transpose of each
 distinct factor, built on the first call and cached on the chain, so
-they split by rows too.
+they split by rows too.  The kernel feature maps of ``znorm`` run their
+elementwise passes on the same pool, through the same range runner.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,12 +108,30 @@ def _executor():
     global _pool
     with _pool_lock:
         if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
             _pool = ThreadPoolExecutor(
                 max_workers=max(1, _usable_cores() - 1), thread_name_prefix="edrep-spmm"
             )
         return _pool
+
+
+def _run_ranges(fn, cuts) -> list:
+    """``[fn(a, b) ...]`` over the consecutive ranges of ``cuts``, in order.
+
+    Every range but the last goes to the product pool and the calling
+    thread runs the last one itself.  The call returns, or raises the
+    first error of a range, only after every range has finished, so no
+    range still writes to its output once the caller sees the error.
+    """
+    if len(cuts) == 2:
+        return [fn(*cuts)]
+    ranges = list(zip(cuts[:-1], cuts[1:]))
+    pool = _executor()
+    futures = [pool.submit(fn, a, b) for a, b in ranges[:-1]]
+    try:
+        last = fn(*ranges[-1])
+    finally:
+        wait(futures)
+    return [future.result() for future in futures] + [last]
 
 
 def spmm(
@@ -148,15 +168,7 @@ def spmm(
     # Targets in the pointers' own dtype: a float or wider search would
     # copy the whole pointer array.
     targets = ((np.arange(1, threads) * f.nnz + threads - 1) // threads).astype(f.indptr.dtype)
-    cuts = [0, *np.searchsorted(f.indptr, targets).tolist(), n]
-    # The calling thread takes the last range itself.
-    pool = _executor()
-    futures = [pool.submit(rows, a, b) for a, b in zip(cuts[:-2], cuts[1:-1])]
-    try:
-        rows(cuts[-2], cuts[-1])
-    finally:
-        for future in futures:
-            future.result()
+    _run_ranges(rows, [0, *np.searchsorted(f.indptr, targets).tolist(), n])
     return out
 
 

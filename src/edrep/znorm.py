@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .matstore import as_dense
+from .matstore import _run_ranges, as_dense, product_threads
 from .mixture import MixtureParams
 
 #: Scalar products beyond this magnitude would push exp() against the
@@ -22,9 +22,11 @@ from .mixture import MixtureParams
 EXP_GUARD = 700.0
 
 #: Query rows per score block of :func:`exact_z`.  On the 1000 x 20000 x 100
-#: criterion-1 instance its temporaries peak at 78 MiB with 256 rows and at
-#: 305 MiB with 1024 (tracemalloc).
+#: criterion-1 instance its one score buffer takes 39 MiB with 256 rows and
+#: 156 MiB with 1024.
 _BLOCK_ROWS = 256
+#: Key rows per feature block of :func:`kernel_z`.  The key feature mass
+#: is summed block by block, so another size changes its last bits.
 _FEATURE_BLOCK = 4096
 
 
@@ -75,9 +77,12 @@ def _compensated_rowsum(block: np.ndarray) -> np.ndarray:
     return total
 
 
-def _check_exponents(S: np.ndarray) -> None:
+def _exponent_peak(S: np.ndarray) -> float:
     # Two reductions instead of np.abs(S), which would copy the block.
-    peak = max(S.max(initial=0.0), -S.min(initial=0.0))
+    return max(S.max(initial=0.0), -S.min(initial=0.0))
+
+
+def _check_exponents(peak: float) -> None:
     if peak > EXP_GUARD:
         raise NumericError(
             f"scalar product magnitude {peak:.1f} exceeds {EXP_GUARD:.0f}; "
@@ -85,11 +90,13 @@ def _check_exponents(S: np.ndarray) -> None:
         )
 
 
-def _exp_scores(X: np.ndarray, Y: np.ndarray):
+def _exp_scores(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None):
     """The exponentiated scores exp(X Y') of a block of query rows,
-    written over the scores, and their compensated row sums Z."""
-    S = X @ Y.T
-    _check_exponents(S)
+    written over the scores, and their compensated row sums Z.  The
+    scores go to ``out`` (C-contiguous, of shape (rows of X, rows of Y))
+    or to a new array."""
+    S = np.matmul(X, Y.T, out=out)
+    _check_exponents(_exponent_peak(S))
     E = np.exp(S, out=S)
     return E, _compensated_rowsum(E)
 
@@ -108,9 +115,12 @@ def exact_z(X: np.ndarray, Y: np.ndarray | None = None) -> ZEstimate:
             f"inner dimensions differ: X has d={X.shape[1]}, Y has d={Y.shape[1]}"
         )
     out = np.empty(X.shape[0])
+    # One score buffer for every block: a fresh one per block is large
+    # enough that malloc maps and faults it anew each time.
+    scores = np.empty((min(_BLOCK_ROWS, X.shape[0]), Y.shape[0]))
     for start in range(0, X.shape[0], _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        out[start:stop] = _exp_scores(X[start:stop], Y)[1]
+        block = X[start : start + _BLOCK_ROWS]
+        out[start : start + _BLOCK_ROWS] = _exp_scores(block, Y, scores[: block.shape[0]])[1]
     return ZEstimate(out, "exact")
 
 
@@ -185,19 +195,66 @@ class KernelFeatureMap:
         return cls(W=np.random.default_rng(seed).standard_normal((n_features, d)))
 
 
-def _performer_features(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _split_rows(fn, n: int) -> list:
+    """``fn(a, b)`` over ``product_threads()`` even ranges of ``n`` rows,
+    on the product pool; the results in range order."""
+    threads = product_threads()
+    return _run_ranges(fn, [k * n // threads for k in range(threads + 1)])
+
+
+def _performer_features(V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
     # Positive exponential features: exp(Wv - |v|^2/2) / sqrt(D); pairs of
-    # features estimate exp(x.y) directly.
-    expo = V @ W.T - 0.5 * np.sum(V * V, axis=1)[:, None]
-    _check_exponents(expo)
-    return np.exp(expo) / np.sqrt(W.shape[0])
+    # features estimate exp(x.y) directly.  Written to the first rows of
+    # ``out``, and returned.
+    phi = np.matmul(V, W.T, out=out[: V.shape[0]])
+    half_sq = 0.5 * np.sum(V * V, axis=1)
+
+    def exponents(a, b):
+        phi[a:b] -= half_sq[a:b, None]
+        return _exponent_peak(phi[a:b])
+
+    # The guard sees the whole block before any exp runs.
+    _check_exponents(max(_split_rows(exponents, phi.shape[0])))
+    scale = np.sqrt(W.shape[0])
+
+    def features(a, b):
+        np.exp(phi[a:b], out=phi[a:b])
+        phi[a:b] /= scale
+
+    _split_rows(features, phi.shape[0])
+    return phi
 
 
-def _rfa_features(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _rfa_features(
+    V: np.ndarray, W: np.ndarray, out: np.ndarray, grow: np.ndarray | None = None
+) -> np.ndarray:
     # Trigonometric features: [cos(Wv), sin(Wv)] / sqrt(D); pairs of
-    # features estimate the Gaussian kernel exp(-|x-y|^2/2).
-    proj = V @ W.T
-    return np.concatenate([np.cos(proj), np.sin(proj)], axis=1) / np.sqrt(W.shape[0])
+    # features estimate the Gaussian kernel exp(-|x-y|^2/2).  Row i is
+    # also multiplied by grow[i] if given.  Written to the first rows of
+    # ``out``, and returned.
+    D = W.shape[0]
+    phi = out[: V.shape[0]]
+    np.matmul(V, W.T, out=phi[:, :D])
+    scale = np.sqrt(D)
+
+    def features(a, b):
+        proj = phi[a:b, :D]
+        np.sin(proj, out=phi[a:b, D:])
+        np.cos(proj, out=proj)
+        phi[a:b] /= scale
+        if grow is not None:
+            phi[a:b] *= grow[a:b, None]
+
+    _split_rows(features, phi.shape[0])
+    return phi
+
+
+def _exp_half_sq(V: np.ndarray) -> np.ndarray:
+    """exp(|v|^2 / 2) per row, the RFA prefactor that turns the Gaussian
+    kernel into exp(x.y)."""
+    sq = 0.5 * np.sum(V * V, axis=1)
+    _check_exponents(_exponent_peak(sq))
+    return np.exp(sq)
 
 
 def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str) -> ZEstimate:
@@ -208,6 +265,12 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     (positive exponential features) or ``rfa`` (trigonometric features,
     whose signed sums are clamped to a positive floor when they fail to
     be positive; clamped rows are reported in the estimate).
+
+    Every key block is written into one feature buffer per call, which
+    the query features reuse when they fit.  The projection runs in the
+    calling thread; the elementwise passes run in place on row ranges,
+    split on the product pool, and give the same bits at any thread
+    count.
     """
     X = as_dense(X, name="X")
     Y = X if Y is None or Y is X else as_dense(Y, name="Y")
@@ -215,32 +278,27 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
         raise DimensionError(
             f"feature map expects d={fmap.W.shape[1]}, got X d={X.shape[1]}, Y d={Y.shape[1]}"
         )
-    if variant == "performer":
-        feats = _performer_features
-        prefactor = False
-    elif variant == "rfa":
-        feats = _rfa_features
-        prefactor = True
-    else:
+    if variant not in ("performer", "rfa"):
         raise ValidationError(f"unknown kernel variant {variant!r}")
+    rfa = variant == "rfa"
 
-    width = 2 * fmap.D if prefactor else fmap.D
+    width = 2 * fmap.D if rfa else fmap.D
+    buf = np.empty((min(_FEATURE_BLOCK, Y.shape[0]), width))
     mass = np.zeros(width)
     for start in range(0, Y.shape[0], _FEATURE_BLOCK):
         block = Y[start : start + _FEATURE_BLOCK]
-        phi = feats(block, fmap.W)
-        if prefactor:
-            sq = 0.5 * np.sum(block * block, axis=1)
-            _check_exponents(sq)
-            phi = phi * np.exp(sq)[:, None]
+        if rfa:
+            phi = _rfa_features(block, fmap.W, buf, _exp_half_sq(block))
+        else:
+            phi = _performer_features(block, fmap.W, buf)
         mass += phi.sum(axis=0)
 
-    phi_x = feats(X, fmap.W)
-    vals = phi_x @ mass
-    if prefactor:
-        sq = 0.5 * np.sum(X * X, axis=1)
-        _check_exponents(sq)
-        vals = np.exp(sq) * vals
+    if X.shape[0] > buf.shape[0]:
+        buf = np.empty((X.shape[0], width))
+    if rfa:
+        vals = _exp_half_sq(X) * (_rfa_features(X, fmap.W, buf) @ mass)
+    else:
+        vals = _performer_features(X, fmap.W, buf) @ mass
     if not np.all(np.isfinite(vals)):
         raise NumericError(f"{variant} feature sums are not finite")
     clamped = np.flatnonzero(vals <= 0)

@@ -191,6 +191,26 @@ class TestRowSplitProducts:
         B = sp.csr_matrix((1, 2))
         assert spmm(B, X, threads).tobytes() == (B @ X).tobytes()
 
+    def test_range_results_come_back_in_order(self):
+        cuts = [0, 2, 5, 9]
+        assert matstore._run_ranges(lambda a, b: (a, b), cuts) == [(0, 2), (2, 5), (5, 9)]
+        assert matstore._run_ranges(lambda a, b: (a, b), [0, 4]) == [(0, 4)]
+
+    def test_range_error_reaches_caller_after_every_range(self):
+        """The first range fails at once on the pool; the others are still
+        running when it does, and must have finished when it is raised."""
+        finished = []
+
+        def fn(a, b):
+            if a == 0:
+                raise KeyError("range 0")
+            time.sleep(0.2)
+            finished.append(a)
+
+        with pytest.raises(KeyError, match="range 0"):
+            matstore._run_ranges(fn, [0, 1, 2, 3])
+        assert sorted(finished) == [1, 2]
+
     def test_repeated_factor_is_stored_and_transposed_once(self):
         A = random_sparse(30, 30, 0.2, 3) + sp.eye(30)
         chain = walk_operator(A, 3)

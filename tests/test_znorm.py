@@ -2,22 +2,73 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edrep import znorm
 from edrep.errors import DimensionError, NumericError, ValidationError
 from edrep.matstore import rescale_embedding
 from edrep.mixture import LabelVector, MixtureParams, estimate_mixture, singleton_mixture
 from edrep.znorm import (
+    EXP_GUARD,
     KernelFeatureMap,
     ZEstimate,
+    _exp_scores,
     approx_z,
     concentration_probe,
     error_cdf,
     exact_z,
     kernel_z,
 )
+
+
+def reference_kernel_z(X, Y, fmap, variant):
+    """``kernel_z`` as it was before the feature buffer: fresh arrays for
+    every key block, the query features in one array, all in one thread.
+    The library must match it bit for bit."""
+
+    def guard(S):
+        if max(S.max(initial=0.0), -S.min(initial=0.0)) > EXP_GUARD:
+            raise NumericError("exponent guard")
+
+    def performer(V, W):
+        expo = V @ W.T - 0.5 * np.sum(V * V, axis=1)[:, None]
+        guard(expo)
+        return np.exp(expo) / np.sqrt(W.shape[0])
+
+    def rfa(V, W):
+        proj = V @ W.T
+        return np.concatenate([np.cos(proj), np.sin(proj)], axis=1) / np.sqrt(W.shape[0])
+
+    feats = performer if variant == "performer" else rfa
+    mass = np.zeros(2 * fmap.D if variant == "rfa" else fmap.D)
+    for start in range(0, Y.shape[0], 4096):
+        block = Y[start : start + 4096]
+        phi = feats(block, fmap.W)
+        if variant == "rfa":
+            sq = 0.5 * np.sum(block * block, axis=1)
+            guard(sq)
+            phi = phi * np.exp(sq)[:, None]
+        mass += phi.sum(axis=0)
+    vals = feats(X, fmap.W) @ mass
+    if variant == "rfa":
+        sq = 0.5 * np.sum(X * X, axis=1)
+        guard(sq)
+        vals = np.exp(sq) * vals
+    clamped = np.flatnonzero(vals <= 0)
+    vals[clamped] = np.finfo(np.float64).tiny
+    return vals, clamped
+
+
+def reference_exact_z(X, Y):
+    """``exact_z`` with a fresh score array for every 256-row block."""
+    return np.concatenate(
+        [_exp_scores(X[s : s + 256], Y)[1] for s in range(0, X.shape[0], 256)]
+    )
 
 
 class TestExactZ:
@@ -205,6 +256,75 @@ class TestKernelZ:
         b = KernelFeatureMap.from_seed(5, 64, 42)
         np.testing.assert_array_equal(a.W, b.W)
         assert a.D == 64
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.sampled_from([1, 255, 4097, 9000]),
+        n=st.sampled_from([1, 3, 300]),
+        d=st.integers(1, 6),
+        D=st.integers(1, 40),
+        scale=st.sampled_from([0.1, 1.0, 3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_allocating_reference(self, m, n, d, D, scale, seed):
+        """Key counts cross the 4096-row block edge and the row split;
+        queries outgrow the key buffer when m is small."""
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((m, d)) * scale / np.sqrt(d)
+        X = rng.standard_normal((n, d)) * scale / np.sqrt(d)
+        fmap = KernelFeatureMap.from_seed(d, D, seed)
+        expected = {v: reference_kernel_z(X, Y, fmap, v) for v in ("performer", "rfa")}
+        expected_exact = reference_exact_z(X, Y).tobytes()
+        for threads in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(znorm, "product_threads", lambda: threads)
+                for variant, (values, clamped) in expected.items():
+                    z = kernel_z(X, Y, fmap, variant)
+                    assert z.values.tobytes() == values.tobytes()
+                    got = np.array([], dtype=np.intp) if z.clamped is None else z.clamped
+                    np.testing.assert_array_equal(got, clamped)
+                assert exact_z(X, Y).values.tobytes() == expected_exact
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("side", ["keys", "queries"])
+    def test_performer_guard_raises_before_any_exp(self, side, threads, monkeypatch):
+        """An exponent of 950 sits in the second row range of the second
+        key block (or in the queries); exp would overflow there, and
+        RuntimeWarning is an error under pytest."""
+        monkeypatch.setattr(znorm, "product_threads", lambda: threads)
+        fmap = KernelFeatureMap(W=np.array([[100.0]]))
+        X = np.full((10, 1), 0.01)
+        Y = np.full((6000, 1), 0.01)
+        (Y if side == "keys" else X)[-1, 0] = 10.0  # 100 * 10 - 10**2 / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="rescale"):
+                kernel_z(X, Y, fmap, "performer")
+
+    # tracemalloc peaks of kernel_z on this instance before the feature
+    # buffer: 50.4 MB for performer (3.0 feature blocks) and 117.5 MB for
+    # rfa (3.5 blocks); with it, one block plus 2.1 MB (numpy 2.4.6).
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", ["performer", "rfa"])
+    def test_peak_memory_is_one_feature_block(self, variant, threads, monkeypatch):
+        """The projection is written into the feature buffer and the
+        passes run in place, so the only other large array is the
+        per-block |v|^2 product of the key rows."""
+        monkeypatch.setattr(znorm, "product_threads", lambda: threads)
+        rng = np.random.default_rng(12)
+        Y = rescale_embedding(rng.standard_normal((8192, 64)), "unit-rows")
+        X = Y[:1000].copy()
+        fmap = KernelFeatureMap.from_seed(64, 512, 1)
+        kernel_z(X, Y, fmap, variant)  # starts the pool outside the trace
+        width = 2 * fmap.D if variant == "rfa" else fmap.D
+        block = 4096 * width * 8
+        tracemalloc.start()
+        try:
+            kernel_z(X, Y, fmap, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block + 4096 * 64 * 8 + 256 * 1024
 
     def test_unknown_variant_rejected(self):
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
