@@ -25,7 +25,7 @@ from .matstore import (
     as_chain, as_dense, rescale_embedding, uniform_weights, validate_regularization_weights
 )
 from .mixture import LabelVector, MixtureParams, class_moments, kmeans_label
-from .znorm import _exp_scores, _live_classes, _log_sum_exp, exact_z, zeta_matrix
+from .znorm import _live_classes, _log_sum_exp, _score_blocks, exact_z, zeta_matrix
 
 #: Tangential rows whose norm falls below this fraction of the full
 #: gradient row norm count as vanished: below that scale the direction
@@ -38,10 +38,6 @@ _UNIT_ROW_TOL = 1e-10
 #: fastest of 256 to 8192 and of whole matrices, at kappa = 1 (171k rows,
 #: 2.9 s against 4.1 s whole) and kappa = 8 (100k rows, 7.2 s against 8.7 s).
 _BLOCK_ROWS = 2048
-#: Score rows held at once by the exact normalizer (each is m wide).  At
-#: 256 rows the term (E / z) @ Y changes in its last bits at some shapes
-#: (777 x 1333 x 7, 2049 x 2049 x 32), so training keeps 1024.
-_EXACT_BLOCK = 1024
 _EXACT_SIZE_GUARD = 20000
 
 
@@ -147,7 +143,8 @@ def exact_loss(X: np.ndarray, P, p0, Y: np.ndarray | None = None) -> float:
     oracle and a comparison arm, not for large runs.
     """
     X, Y, chain, p0 = _entry(X, Y, P, p0)
-    logz = float(np.log(exact_z(X, Y).values).sum())
+    # Summed per row block, in the order of the epoch loop.
+    logz = sum(float(np.log(exact_z(X[lo:hi], Y).values).sum()) for lo, hi in _row_blocks(len(X)))
     return _objective(X, chain._apply(Y), p0 @ Y)(logz)
 
 
@@ -173,7 +170,7 @@ def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
     class means and covariance images.  Cost O(E d + n kappa d^2).
     """
     X, _, chain, p0 = _entry(X, None, P, p0)
-    _, term = _normalized(_mixture_normalizer(params), X)
+    term = _normalized(_mixture_normalizer(params), X)
     term += _pull(chain, X, chain._apply(X), p0 @ X, p0, False)(0, X.shape[0])
     return term
 
@@ -181,8 +178,7 @@ def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
 def softmax_weighted_term(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Rows sum_a softmax(x_i . y_a) y_a: the log-Z gradient with frozen keys."""
     X = as_dense(X)
-    _, term = _normalized(_exact_normalizer(X if Y is None else as_dense(Y)), X)
-    return term
+    return _normalized(_exact_normalizer(X if Y is None else as_dense(Y)), X)
 
 
 def _row_blocks(n: int):
@@ -190,15 +186,13 @@ def _row_blocks(n: int):
     return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
 
 
-def _normalized(normalize, X: np.ndarray):
-    """Total log Z of the rows of X and their whole gradient term,
-    from a normalizer that serves one row block at a time."""
+def _normalized(normalize, X: np.ndarray) -> np.ndarray:
+    """The whole gradient term of the rows of X, from a normalizer that
+    serves one row block at a time."""
     term = np.empty_like(X)
-    logz = 0.0
     for lo, hi in _row_blocks(X.shape[0]):
-        block_logz, term[lo:hi] = normalize(X[lo:hi])
-        logz += float(block_logz.sum())
-    return logz, term
+        term[lo:hi] = normalize(X[lo:hi])[1]
+    return term
 
 
 def _mixture_logz(params: MixtureParams, X: np.ndarray):
@@ -239,17 +233,16 @@ def _exact_normalizer(Y: np.ndarray):
     """The exact normalizer against the keys ``Y``.
 
     For a block of query rows it gives log Z per row and the
-    softmax-weighted key sums, holding at most ``_EXACT_BLOCK`` rows of
-    the score matrix at once.
+    softmax-weighted key sums, from one score buffer per epoch.
     """
+    blocks = _score_blocks(Y, _BLOCK_ROWS)
 
     def normalize(X):
         logz = np.empty(X.shape[0])
         term = np.empty_like(X)
-        for lo in range(0, X.shape[0], _EXACT_BLOCK):
-            hi = lo + _EXACT_BLOCK
-            E, z = _exp_scores(X[lo:hi], Y)
-            term[lo:hi] = (E / z[:, None]) @ Y
+        for lo, hi, E, z in blocks(X):
+            E /= z[:, None]
+            np.matmul(E, Y, out=term[lo:hi])
             logz[lo:hi] = np.log(z)
         return logz, term
 

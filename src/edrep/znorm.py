@@ -21,9 +21,9 @@ from .mixture import MixtureParams
 #: float64 cliff; callers are expected to rescale their embeddings.
 EXP_GUARD = 700.0
 
-#: Query rows per score block of :func:`exact_z`.  On the 1000 x 20000 x 100
-#: criterion-1 instance its one score buffer takes 39 MiB with 256 rows and
-#: 156 MiB with 1024.
+#: Query rows per block of exact scores, in :func:`exact_z` and in
+#: ``fit_exact``'s normalizer alike.  On the 1000 x 20000 x 100 criterion-1
+#: instance one score buffer takes 39 MiB with 256 rows and 156 MiB with 1024.
 _BLOCK_ROWS = 256
 #: Key rows per feature block of :func:`kernel_z`.  The key feature mass
 #: is summed block by block, so another size changes its last bits.
@@ -90,15 +90,25 @@ def _check_exponents(peak: float) -> None:
         )
 
 
-def _exp_scores(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None):
-    """The exponentiated scores exp(X Y') of a block of query rows,
-    written over the scores, and their compensated row sums Z.  The
-    scores go to ``out`` (C-contiguous, of shape (rows of X, rows of Y))
-    or to a new array."""
-    S = np.matmul(X, Y.T, out=out)
-    _check_exponents(_exponent_peak(S))
-    E = np.exp(S, out=S)
-    return E, _compensated_rowsum(E)
+def _score_blocks(Y: np.ndarray, rows: int):
+    """The one loop that computes exact scores against the keys Y.
+
+    ``blocks(X)``, for X of at most ``rows`` rows, yields (lo, hi, E, z)
+    per ``_BLOCK_ROWS`` rows: E = exp(X[lo:hi] Y') once the guard has
+    seen the whole block, in one buffer that a fresh array per block
+    would make malloc fault in anew, and z its compensated row sums.
+    """
+    scores = np.empty((min(_BLOCK_ROWS, rows), Y.shape[0]))
+
+    def blocks(X: np.ndarray):
+        for lo in range(0, X.shape[0], _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, X.shape[0])
+            S = np.matmul(X[lo:hi], Y.T, out=scores[: hi - lo])
+            _check_exponents(_exponent_peak(S))
+            E = np.exp(S, out=S)
+            yield lo, hi, E, _compensated_rowsum(E)
+
+    return blocks
 
 
 def exact_z(X: np.ndarray, Y: np.ndarray | None = None) -> ZEstimate:
@@ -115,12 +125,8 @@ def exact_z(X: np.ndarray, Y: np.ndarray | None = None) -> ZEstimate:
             f"inner dimensions differ: X has d={X.shape[1]}, Y has d={Y.shape[1]}"
         )
     out = np.empty(X.shape[0])
-    # One score buffer for every block: a fresh one per block is large
-    # enough that malloc maps and faults it anew each time.
-    scores = np.empty((min(_BLOCK_ROWS, X.shape[0]), Y.shape[0]))
-    for start in range(0, X.shape[0], _BLOCK_ROWS):
-        block = X[start : start + _BLOCK_ROWS]
-        out[start : start + _BLOCK_ROWS] = _exp_scores(block, Y, scores[: block.shape[0]])[1]
+    for lo, hi, _, z in _score_blocks(Y, X.shape[0])(X):
+        out[lo:hi] = z
     return ZEstimate(out, "exact")
 
 

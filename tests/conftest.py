@@ -1,8 +1,14 @@
 """Fixtures shared by the test modules."""
 
 import pytest
+from hypothesis import settings
 
 from edrep.matstore import ProductChain
+
+# Examples run the numerical kernels, whose time varies with the machine's
+# load; no property test has a deadline.
+settings.register_profile("edrep", deadline=None)
+settings.load_profile("edrep")
 
 
 @pytest.fixture

@@ -496,7 +496,7 @@ class TestSupraAdjacency:
             for a, b in zip(coo.row, coo.col):
                 assert graph.nodes[b][1] > graph.nodes[a][1]
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(edges=contact_lists())
     def test_bitwise_equal_to_reference_builder(self, edges):
         graph = supra_adjacency(edges)

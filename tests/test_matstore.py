@@ -141,7 +141,7 @@ def sparse_with_empty_rows(rows, cols, density, seed):
 class TestRowSplitProducts:
     """Row-split products are bitwise equal to the serial scipy products."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         sizes=st.lists(st.integers(1, 30), min_size=2, max_size=4),
         d=st.integers(1, 5),
@@ -166,7 +166,7 @@ class TestRowSplitProducts:
             # The second call reads the cached transposes.
             assert chain.apply_transpose(Y).tobytes() == expected
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         n=st.integers(1, 40),
         w=st.integers(1, 4),

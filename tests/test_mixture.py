@@ -183,7 +183,7 @@ def clustered_rows(n, d, distinct, seed):
 class TestKmeansOracle:
     """``kmeans_label`` against the masked-mean reference above."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         n=st.integers(2, 60),
         d=st.integers(2, 6),
@@ -238,7 +238,7 @@ class TestKmeansOracle:
                 reference_kmeans(Y, kappa, kappa, restarts=restarts),
             )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         n=st.integers(1, 300),
         d=st.integers(2, 8),
@@ -253,7 +253,7 @@ class TestKmeansOracle:
         expected = np.vstack([Y[labels == j].mean(axis=0) for j in range(k)])
         assert _class_means(Y, labels, k).tobytes() == expected.tobytes()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(n=st.integers(1, 300), k=st.integers(1, 6), seed=st.integers(0, 2**16))
     def test_class_means_in_one_dimension(self, n, k, seed):
         # With d = 1 the masked mean reduces one contiguous column, which

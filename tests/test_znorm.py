@@ -17,7 +17,7 @@ from edrep.znorm import (
     EXP_GUARD,
     KernelFeatureMap,
     ZEstimate,
-    _exp_scores,
+    _compensated_rowsum,
     approx_z,
     concentration_probe,
     error_cdf,
@@ -65,9 +65,9 @@ def reference_kernel_z(X, Y, fmap, variant):
 
 
 def reference_exact_z(X, Y):
-    """``exact_z`` with a fresh score array for every 256-row block."""
+    """``exact_z`` with fresh arrays for every 256-row block."""
     return np.concatenate(
-        [_exp_scores(X[s : s + 256], Y)[1] for s in range(0, X.shape[0], 256)]
+        [_compensated_rowsum(np.exp(X[s : s + 256] @ Y.T)) for s in range(0, X.shape[0], 256)]
     )
 
 
@@ -257,7 +257,7 @@ class TestKernelZ:
         np.testing.assert_array_equal(a.W, b.W)
         assert a.D == 64
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         m=st.sampled_from([1, 255, 4097, 9000]),
         n=st.sampled_from([1, 3, 300]),
