@@ -93,10 +93,10 @@ def _check_exponents(peak: float) -> None:
 def _score_blocks(Y: np.ndarray, rows: int):
     """The one loop that computes exact scores against the keys Y.
 
-    ``blocks(X)``, for X of at most ``rows`` rows, yields (lo, hi, E, z)
-    per ``_BLOCK_ROWS`` rows: E = exp(X[lo:hi] Y') once the guard has
-    seen the whole block, in one buffer that a fresh array per block
-    would make malloc fault in anew, and z its compensated row sums.
+    ``blocks(X)``, for X of at most ``rows`` rows, yields (lo, hi, E, z) per
+    ``_BLOCK_ROWS`` rows: E = exp(X[lo:hi] Y'), guarded whole before the exp,
+    in the one buffer (a fresh one per block would be faulted in anew) until
+    the next block, and z its compensated row sums.
     """
     scores = np.empty((min(_BLOCK_ROWS, rows), Y.shape[0]))
 

@@ -567,7 +567,9 @@ class TestFitExact:
         logz, _ = _exact_normalizer(Y)(X)
         assert logz.tobytes() == np.log(exact_z(X, Y).values).tobytes()
 
-    @pytest.mark.parametrize("n, m, d", [(777, 1333, 7), (300, 300, 16), (513, 257, 5), (2049, 2049, 32)])
+    @pytest.mark.parametrize(
+        "n, m, d", [(777, 1333, 7), (300, 300, 16), (513, 257, 5), (2049, 2049, 32)]
+    )
     def test_term_matches_reference_within_last_bits(self, n, m, d):
         """The term runs its product on 256-row score blocks, the oracle on
         1024-row ones, so the last bits differ at these shapes.  The largest
