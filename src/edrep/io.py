@@ -4,8 +4,8 @@ one-integer-per-line labels, 4-column temporal edge CSV, tidy result tables."""
 from __future__ import annotations
 
 import csv
+import os
 import warnings
-from pathlib import Path
 
 import numpy as np
 import scipy.io as spio
@@ -15,6 +15,8 @@ from .errors import ValidationError
 from .matstore import as_csr, as_dense
 
 _MAGIC = b"EDR1"
+#: The magic and the two counts.
+_HEADER_BYTES = 20
 
 
 def save_dense_csv(path, X) -> None:
@@ -32,28 +34,44 @@ def load_dense_csv(path) -> np.ndarray:
 
 def save_dense_binary(path, X) -> None:
     """Write the raw binary format: magic "EDR1", two little-endian
-    64-bit counts (rows, cols), then row-major little-endian float64."""
-    X = as_dense(X)
+    64-bit counts (rows, cols), then row-major little-endian float64.
+
+    The values are written straight from the array's own buffer; only a
+    big-endian host makes a little-endian copy first.
+    """
+    X = as_dense(X).astype("<f8", copy=False)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.array(X.shape, dtype="<u8").tobytes())
-        fh.write(X.astype("<f8").tobytes(order="C"))
+        fh.write(X.data)
 
 
 def load_dense_binary(path) -> np.ndarray:
+    """Read an EDR1 file into a new aligned, writable float64 array.
+
+    The declared shape is checked against the file size before the
+    values are read, and the values are read straight into the array.
+    """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER_BYTES)
+            if header[:4] != _MAGIC or len(header) < _HEADER_BYTES:
+                raise ValidationError(
+                    f"{path} is not an EDR1 file (bad magic bytes or short header)"
+                )
+            rows, cols = (int(v) for v in np.frombuffer(header, dtype="<u8", offset=4))
+            size = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
+            if size != 8 * rows * cols:
+                raise ValidationError(
+                    f"{path} declares {rows}x{cols} values but holds {size} data bytes"
+                )
+            X = np.empty((rows, cols), dtype="<f8")
+            got = fh.readinto(X)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if blob[:4] != _MAGIC or len(blob) < 20:
-        raise ValidationError(f"{path} is not an EDR1 file (bad magic bytes or short header)")
-    rows, cols = (int(v) for v in np.frombuffer(blob, dtype="<u8", count=2, offset=4))
-    if len(blob) - 20 != 8 * rows * cols:
-        raise ValidationError(
-            f"{path} declares {rows}x{cols} values but holds {len(blob) - 20} data bytes"
-        )
-    data = np.frombuffer(blob, dtype="<f8", offset=20)
-    return as_dense(data.reshape(rows, cols), name=str(path))
+    if got != size:
+        raise ValidationError(f"{path} ended after {got} of its {size} data bytes")
+    return as_dense(X, name=str(path))
 
 
 def load_dense(path) -> np.ndarray:

@@ -33,8 +33,17 @@ ROW_STOCHASTIC_TOL = 1e-9
 
 
 def as_dense(X, name: str = "matrix") -> np.ndarray:
-    """Return ``X`` as a 2-D float64 array, checking that entries are finite."""
+    """Return ``X`` as an aligned, C-contiguous 2-D float64 array,
+    checking that entries are finite.
+
+    An array that already has that form is returned itself; anything
+    else is copied once.  That includes a misaligned view, one whose
+    data does not start on an 8-byte boundary: BLAS and numpy's loops
+    take a slow path on every later call that reads it.
+    """
     A = np.ascontiguousarray(X, dtype=np.float64)
+    if not A.flags.aligned:
+        A = A.copy()
     if A.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
     if not np.all(np.isfinite(A)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ValidationError
 from .matstore import as_dense
@@ -207,14 +207,19 @@ def _plus_plus_centers(Y, sq_norms, k, rng):
 def _class_means(Y, labels, k):
     """Mean row of each class in 0..k-1, as one class-indicator product.
 
-    The indicator is stored by columns, one entry per row of ``Y``, so the
-    product adds the rows of each class in ascending order, as
-    ``Y[labels == j].mean(axis=0)`` does.  It reads ``Y`` once, in order.
+    The indicator has one entry per row of ``Y``, stored by columns, and
+    goes straight to scipy's CSC kernel (the one behind ``indicator @ Y``),
+    so no sparse matrix is built per call.  The kernel adds the rows of
+    each class in ascending order, as ``Y[labels == j].mean(axis=0)``
+    does.  It reads ``Y`` once, in order.
     """
-    n = labels.size
-    indicator = sp.csc_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(k, n))
+    n, d = Y.shape
+    sums = np.zeros((k, d))
+    _sparsetools.csc_matvecs(
+        k, n, d, np.arange(n + 1), labels, np.ones(n), Y.ravel(), sums.ravel()
+    )
     counts = np.bincount(labels, minlength=k)
-    return (indicator @ Y) / counts[:, None]
+    return sums / counts[:, None]
 
 
 def _lloyd(Y, sq_norms, k, rng):

@@ -39,6 +39,59 @@ def test_binary_layout_is_magic_counts_then_floats(tmp_path):
     )
 
 
+def _old_edr1_bytes(X):
+    """The EDR1 writer's bytes as built with two full-size temporaries."""
+    return b"EDR1" + np.array(X.shape, dtype="<u8").tobytes() + X.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (257, 33)])
+def test_binary_writer_bytes_unchanged(shape, tmp_path):
+    X = np.random.default_rng(sum(shape)).standard_normal(shape)
+    path = tmp_path / "m.edr1"
+    eio.save_dense_binary(path, X)
+    assert path.read_bytes() == _old_edr1_bytes(X)
+
+
+def test_binary_reader_reports_a_file_that_ends_early(tmp_path, monkeypatch):
+    """A file that shrinks after its size was read ends the read early."""
+    path = tmp_path / "shrunk.edr1"
+    path.write_bytes(_old_edr1_bytes(np.ones((2, 2)))[:-20])
+    real_fstat = eio.os.fstat
+
+    class Stat:
+        def __init__(self, fd):
+            self.st_size = real_fstat(fd).st_size + 20
+
+    monkeypatch.setattr(eio.os, "fstat", Stat)
+    with pytest.raises(ValidationError, match="shrunk.edr1 ended after 12 of its 32"):
+        eio.load_dense_binary(path)
+
+
+def _assert_aligned_c(arr):
+    assert arr.flags.aligned and arr.flags.c_contiguous
+
+
+def test_loaders_return_aligned_contiguous_arrays(tmp_path):
+    X = np.random.default_rng(6).standard_normal((9, 5))
+    eio.save_dense_binary(tmp_path / "m.edr1", X)
+    eio.save_dense_csv(tmp_path / "m.csv", X)
+    eio.save_sparse_mm(tmp_path / "a.mtx", sp.random(9, 9, density=0.3, random_state=6))
+    eio.save_labels(tmp_path / "labels.txt", [1, 2, 2])
+    (tmp_path / "edges.csv").write_text("1,2,1,1.5\n2,3,2,2.0\n")
+
+    binary = eio.load_dense_binary(tmp_path / "m.edr1")
+    _assert_aligned_c(binary)
+    assert binary.flags.writeable and binary.flags.owndata
+    _assert_aligned_c(eio.load_dense_csv(tmp_path / "m.csv"))
+    _assert_aligned_c(eio.load_labels(tmp_path / "labels.txt"))
+    edges = eio.load_temporal_csv(tmp_path / "edges.csv")
+    for arr in (edges.i, edges.j, edges.t, edges.w):
+        _assert_aligned_c(arr)
+    A = eio.load_sparse_mm(tmp_path / "a.mtx")
+    for arr in (A.data, A.indices, A.indptr):
+        _assert_aligned_c(arr)
+
+
 def test_binary_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.edr1"
     path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -387,6 +387,21 @@ class TestRowNormalize:
         ProductChain([L, L, L], weights=uniform_weights(3) * 3 / 3).validate_stochastic()
 
 
+class TestAsDense:
+    def test_aligned_contiguous_float64_is_returned_itself(self):
+        A = np.random.default_rng(0).standard_normal((4, 3))
+        assert matstore.as_dense(A) is A
+
+    def test_misaligned_view_is_copied_once_into_an_aligned_array(self):
+        view = np.frombuffer(bytearray(8 * 12 + 4), "<f8", offset=4).reshape(4, 3)
+        view[:] = np.arange(12.0).reshape(4, 3)
+        assert not view.flags.aligned
+        A = matstore.as_dense(view)
+        assert A.flags.aligned and A.flags.c_contiguous and A.flags.owndata
+        assert A.tobytes() == view.tobytes()
+        assert matstore.as_dense(A) is A
+
+
 class TestRescaleEmbedding:
     def test_average_norm_uniform_scaling(self):
         X = np.array([[2.0, 0.0], [0.0, 2.0]])

@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 from edrep import znorm
 from edrep.errors import DimensionError, NumericError, ValidationError
-from edrep.matstore import rescale_embedding
-from edrep.mixture import LabelVector, MixtureParams, estimate_mixture, singleton_mixture
+from edrep.matstore import as_dense, rescale_embedding
+from edrep.mixture import (
+    LabelVector,
+    MixtureParams,
+    estimate_mixture,
+    kmeans_label,
+    singleton_mixture,
+)
 from edrep.znorm import (
     EXP_GUARD,
     KernelFeatureMap,
@@ -407,3 +413,52 @@ class TestConcentrationProbe:
         bound = 4 * math.exp(-((math.sqrt(m) * t / (4 * math.e * h)) ** 2))
         assert bound == pytest.approx(4 / math.e)
         assert bound > 1.0
+
+
+def misaligned_unit_rows(n, d, seed):
+    """Random unit rows in a writable view that starts 4 bytes into its
+    buffer, as a view of a file's bytes after a 20-byte header does."""
+    view = np.frombuffer(bytearray(8 * n * d + 4), "<f8", offset=4).reshape(n, d)
+    view[:] = rescale_embedding(np.random.default_rng(seed).standard_normal((n, d)), "unit-rows")
+    return view
+
+
+class TestMisalignedOperands:
+    @settings(max_examples=25)
+    @given(
+        n=st.sampled_from([3, 40, 300]),
+        d=st.integers(1, 6),
+        queries=st.integers(1, 3),
+        kappa=st.integers(1, 3),
+        D=st.sampled_from([1, 2, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_results_bitwise_equal_to_aligned_copy(self, n, d, queries, kappa, D, seed):
+        """Every estimator and k-means give the same bits on a misaligned
+        view as on its aligned copy; with one or two features some RFA
+        rows are clamped."""
+        view = misaligned_unit_rows(n, d, seed)
+        aligned = view.copy()
+        assert not view.flags.aligned and aligned.flags.aligned
+        assert as_dense(view).flags.aligned
+        fmap = KernelFeatureMap.from_seed(d, D, seed)
+        kappa = min(kappa, n)
+
+        def run(Y):
+            X = Y[: max(1, n // queries)]
+            labels = kmeans_label(Y, kappa, seed=seed)
+            out = {
+                "labels": labels.labels,
+                "exact": exact_z(X, Y).values,
+                "self": exact_z(Y).values,
+                "mixture": approx_z(X, estimate_mixture(Y, labels)).values,
+            }
+            for variant in ("performer", "rfa"):
+                z = kernel_z(X, Y, fmap, variant)
+                out[variant] = z.values
+                out[f"{variant} clamped"] = np.array([] if z.clamped is None else z.clamped)
+            return out
+
+        got, want = run(view), run(aligned)
+        for key, value in want.items():
+            assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes(), key
