@@ -19,7 +19,6 @@ the row split of the sparse chain products.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -223,26 +222,6 @@ def _check_kappa(kappa: int, rows: int, what: str) -> None:
         raise ValidationError(f"kappa={kappa} must lie between 1 and the {rows} rows of {what}")
 
 
-def _load_operator(path: str):
-    from . import io as eio
-    from .matstore import ProductChain
-
-    if str(path).endswith(".json"):
-        try:
-            manifest = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read chain manifest {path}: {exc}") from exc
-        names = manifest.get("factors") if isinstance(manifest, dict) else None
-        if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
-            raise ValidationError(f'chain manifest {path} needs a "factors" list of file names')
-        factors = [eio.load_sparse_mm(Path(path).parent / f) for f in names]
-        try:
-            return ProductChain(factors, weights=manifest.get("weights"))
-        except ValidationError as exc:
-            raise ValidationError(f"chain manifest {path}: {exc}") from exc
-    return ProductChain([eio.load_sparse_mm(path)])
-
-
 def _cmd_estimate_z(resolved: dict) -> Path:
     import numpy as np
 
@@ -305,8 +284,8 @@ def _run_fit(resolved: dict, exact: bool) -> Path:
     every = resolved.get("checkpoint-every", 0)
     if every < 0:
         raise ValidationError(f"--checkpoint-every must be at least 0, got {every}")
-    # The fit validates the operator.
-    chain = _load_operator(resolved["operator"])
+    # The reader checks that the operator is row-stochastic.
+    chain = eio.load_operator(resolved["operator"])
     _check_kappa(cfg.kappa, chain.shape[0], "the operator")
 
     on_epoch = None

@@ -139,10 +139,15 @@ def _symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> sp.csr_matrix:
     return adj
 
 
+#: Label draws before :func:`dcsbm_sample` gives up on filling every class.
+_LABEL_DRAWS = 1000
+
+
 def dcsbm_sample(params: DcsbmParams) -> DcsbmInstance:
     """Sample a block-model graph with degree correction.
 
-    Labels are uniform over the q classes (redrawn until none is empty).
+    Labels are uniform over the q classes, redrawn until none is empty
+    (at most :data:`_LABEL_DRAWS` times).
     Every pair i < j is an independent Bernoulli edge with probability
     theta_i theta_j / n times the in/out affinity, drawn by the exact
     edge-linear sampler of :func:`_pair_edges` in O(n + E), and mirrored
@@ -152,9 +157,15 @@ def dcsbm_sample(params: DcsbmParams) -> DcsbmInstance:
     label_rng, theta_rng, edge_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(params.seed).spawn(3)
     )
-    labels = label_rng.integers(1, params.q + 1, size=params.n)
-    while np.bincount(labels, minlength=params.q + 1)[1:].min() == 0:
+    for _ in range(_LABEL_DRAWS):
         labels = label_rng.integers(1, params.q + 1, size=params.n)
+        if np.bincount(labels, minlength=params.q + 1)[1:].min() > 0:
+            break
+    else:
+        raise ValidationError(
+            f"q={params.q} classes over n={params.n} nodes left a class empty in "
+            f"{_LABEL_DRAWS} label draws; use fewer classes or more nodes"
+        )
     theta = _draw_theta(params.theta_recipe, params.n, theta_rng)
     c_in, c_out = solve_affinities(params.c, params.alpha, params.q, float(np.mean(theta**2)))
 
@@ -210,8 +221,11 @@ def negative_binomial_graph(
     """
     if n < 1:
         raise ValidationError(f"negative binomial graph needs n >= 1, got {n}")
-    if not (r > 0 and 0 < p <= 1):
-        raise ValidationError(f"negative binomial needs r > 0 and 0 < p <= 1, got r={r}, p={p}")
+    if not (r > 0 and 0 < p < 1):
+        raise ValidationError(
+            f"negative binomial needs r > 0 and 0 < p < 1 (at p = 1 every propensity "
+            f"is 0), got r={r}, p={p}"
+        )
     rng = np.random.default_rng(seed)
     theta = rng.negative_binomial(r, p, size=n).astype(np.float64)
     total = theta.sum()

@@ -1,18 +1,22 @@
 """File formats: MatrixMarket sparse, headerless CSV and EDR1 binary dense,
-one-integer-per-line labels, 4-column temporal edge CSV, tidy result tables."""
+one-integer-per-line labels, 4-column temporal edge CSV, JSON operator
+manifests, tidy result tables.  A file that a reader cannot parse, or
+that holds no values, raises ValidationError naming the file."""
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.io as spio
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .matstore import as_csr, as_dense
+from .matstore import ProductChain, as_csr, as_dense
 
 _MAGIC = b"EDR1"
 #: The magic and the two counts.
@@ -24,11 +28,23 @@ def save_dense_csv(path, X) -> None:
     np.savetxt(path, X, delimiter=",", fmt="%.17g")
 
 
-def load_dense_csv(path) -> np.ndarray:
+def _loadtxt(path, kind: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt``, with a file it cannot parse or that holds no
+    values reported as a ValidationError naming the file."""
     try:
-        X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is reported below, not as numpy's warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, **kwargs)
     except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read dense CSV {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {kind} {path}: {exc}") from exc
+    if values.size == 0:
+        raise ValidationError(f"{kind} {path} holds no records")
+    return values
+
+
+def load_dense_csv(path) -> np.ndarray:
+    X = _loadtxt(path, "dense CSV", delimiter=",", dtype=np.float64, ndmin=2)
     return as_dense(X, name=str(path))
 
 
@@ -60,6 +76,8 @@ def load_dense_binary(path) -> np.ndarray:
                     f"{path} is not an EDR1 file (bad magic bytes or short header)"
                 )
             rows, cols = (int(v) for v in np.frombuffer(header, dtype="<u8", offset=4))
+            if rows * cols == 0:
+                raise ValidationError(f"{path} declares {rows}x{cols}, no values")
             size = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
             if size != 8 * rows * cols:
                 raise ValidationError(
@@ -93,6 +111,29 @@ def load_sparse_mm(path) -> sp.csr_matrix:
     return as_csr(M, name=str(path))
 
 
+def load_operator(path) -> ProductChain:
+    """A checked row-stochastic chain from a MatrixMarket file, or from a JSON
+    manifest ``{"factors": [...], "weights": [...]}`` naming files beside it."""
+    if not str(path).endswith(".json"):
+        chain = ProductChain([load_sparse_mm(path)])
+        chain.validate_stochastic()
+        return chain
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ValidationError(f"cannot read chain manifest {path}: {exc}") from exc
+    names = manifest.get("factors") if isinstance(manifest, dict) else None
+    if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
+        raise ValidationError(f'chain manifest {path} needs a "factors" list of file names')
+    factors = [load_sparse_mm(Path(path).parent / f) for f in names]
+    try:
+        chain = ProductChain(factors, weights=manifest.get("weights"))
+        chain.validate_stochastic()
+    except ValidationError as exc:
+        raise ValidationError(f"chain manifest {path}: {exc}") from exc
+    return chain
+
+
 def save_labels(path, labels) -> None:
     """One integer label per line."""
     arr = np.asarray(getattr(labels, "labels", labels), dtype=np.int64)
@@ -100,11 +141,7 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    try:
-        arr = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read label file {path}: {exc}") from exc
-    return arr
+    return _loadtxt(path, "label file", dtype=np.int64, ndmin=1)
 
 
 _TEMPORAL_DTYPE = [("i", "<i8"), ("j", "<i8"), ("t", "<i8"), ("w", "<f8")]
@@ -117,17 +154,10 @@ def load_temporal_csv(path):
     """
     from .graphs import TemporalEdgeList
 
-    try:
-        with warnings.catch_warnings():
-            # An empty file is reported below, not as numpy's warning.
-            warnings.simplefilter("ignore", UserWarning)
-            rec = np.loadtxt(path, delimiter=",", comments="#", dtype=_TEMPORAL_DTYPE, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(
-            f"cannot read temporal CSV {path} (4 fields per record: i, j, t, w): {exc}"
-        ) from exc
-    if rec.size == 0:
-        raise ValidationError(f"temporal CSV {path} holds no records")
+    rec = _loadtxt(
+        path, "temporal CSV (fields i, j, t, w)",
+        delimiter=",", comments="#", dtype=_TEMPORAL_DTYPE, ndmin=1,
+    )
     return TemporalEdgeList(i=rec["i"], j=rec["j"], t=rec["t"], w=rec["w"])
 
 

@@ -324,8 +324,9 @@ class ProductChain:
         """Check the chain can serve as a probability operator.
 
         Eligibility is judged on the effective operator: all factor
-        entries must be nonnegative and the operator must map the
-        all-ones vector to itself within :data:`ROW_STOCHASTIC_TOL`.
+        entries and prefix weights must be nonnegative, and the operator
+        must map the all-ones vector to itself within
+        :data:`ROW_STOCHASTIC_TOL`.
         Individual factors are not required to be row-stochastic on their
         own.  The factors do not change, so a chain that passed is not
         checked again.
@@ -338,6 +339,8 @@ class ProductChain:
         for k, f in enumerate(self.factors):
             if f.nnz and f.data.min() < 0:
                 raise ValidationError(f"factor {k} has negative entries")
+        if self.weights is not None and self.weights.min() < 0:
+            raise ValidationError(f"prefix weights must be nonnegative, got {self.weights.tolist()}")
         ones = np.ones((self.shape[1], 1))
         sums = self.apply(ones).ravel()
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_STOCHASTIC_TOL)

@@ -225,9 +225,16 @@ class TestSupra:
         ("fit", "--operator", "chain.json", b'{"weights": [1.0]}'),
         ("fit", "--operator", "chain.json", b'["P.mtx"]'),
         ("fit", "--operator", "chain.json", b'{"factors": ["P.mtx"], "weights": ["x"]}'),
+        ("fit", "--operator", "chain.json",
+         b'{"factors": ["P.mtx", "P.mtx"], "weights": [1.5, -0.5]}'),
+        ("fit", "--operator", "chain.json", b'{"factors": ["P\xff.mtx"]}'),
+        ("estimate-z", "--embedding", "emb.csv", b""),
+        ("estimate-z", "--embedding", "emb.edr1",
+         b"EDR1" + np.array([0, 5], dtype="<u8").tobytes()),
     ],
     ids=["supra-word", "csv-word", "edr1-short", "manifest-no-factors",
-         "manifest-list", "manifest-word-weight"],
+         "manifest-list", "manifest-word-weight", "manifest-negative-weight",
+         "manifest-not-utf8", "csv-empty", "edr1-no-rows"],
 )
 def test_malformed_input_file_is_a_validation_error(
     command, option, name, content, operator_mtx, tmp_path, capsys
@@ -360,6 +367,7 @@ class TestConfigResolution:
             ("deviation", "--nb-r", 0),
             ("deviation", "--nb-p", 1.5),
             ("deviation", "--nb-p", 0),
+            ("deviation", "--nb-p", 1),
             ("concentration", "--d", 0),
             ("dcsbm-bench", "--seeds", 0),
             ("dcsbm-bench", "--alphas", ","),
@@ -370,7 +378,7 @@ class TestConfigResolution:
             ("concentration", "--m-grid", -5),
         ],
         ids=["samples-negative", "samples-zero", "nb-r-zero", "nb-p-above-one",
-             "nb-p-zero", "d-zero", "seeds-zero", "alphas-empty", "kappas-empty",
+             "nb-p-zero", "nb-p-one", "d-zero", "seeds-zero", "alphas-empty", "kappas-empty",
              "n-zero", "m-grid-empty", "m-grid-zero", "m-grid-negative"],
     )
     def test_out_of_range_number_is_a_validation_error(

@@ -1,5 +1,7 @@
 """Block-model sampling, walk operators and the supra graph."""
 
+import signal
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -172,6 +174,22 @@ class TestDcsbmSample:
             dcsbm_sample(
                 DcsbmParams(n=20, q=2, c=18.0, alpha=1.0, theta_recipe="powerlaw", seed=5)
             )
+
+    def test_classes_too_many_for_the_nodes_are_rejected_within_a_second(self):
+        """Filling q = n classes needs a permutation (probability n!/n^n);
+        the label draws must give up, not run on."""
+
+        def stop(signum, frame):
+            raise TimeoutError("the label draws ran past one second")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValidationError, match="q=30 .* n=30"):
+                dcsbm_sample(DcsbmParams(n=30, q=30, c=2.0, alpha=0.5, theta_recipe="unit"))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_deterministic_given_seed(self):
         params = DcsbmParams(n=500, q=2, c=6.0, alpha=2.0, theta_recipe="powerlaw", seed=6)
@@ -378,6 +396,11 @@ class TestNegativeBinomialGraph:
     def test_node_count_must_be_positive(self, n):
         with pytest.raises(ValidationError, match="n >= 1"):
             negative_binomial_graph(n)
+
+    def test_p_of_one_is_rejected_as_out_of_range(self):
+        # At p = 1 every propensity is 0, whatever the seed.
+        with pytest.raises(ValidationError, match="0 < p < 1"):
+            negative_binomial_graph(50, p=1.0)
 
 
 def reference_supra_adjacency(edges):

@@ -195,9 +195,14 @@ def test_missing_files_raise_validation_errors(tmp_path):
         (eio.load_labels, b"1\ntwo\n"),
         (eio.load_temporal_csv, b"x,3,1,1.0\n"),
         (eio.load_temporal_csv, b"1,3,1,heavy\n"),
+        (eio.load_dense_csv, b""),
+        (eio.load_dense_binary, b"EDR1" + np.array([0, 5], dtype="<u8").tobytes()),
+        (eio.load_labels, b""),
+        (eio.load_temporal_csv, b"# i,j,t,w\n"),
     ],
     ids=["csv-word", "edr1-short-header", "edr1-partial-value", "labels-word",
-         "temporal-node", "temporal-weight"],
+         "temporal-node", "temporal-weight", "csv-empty", "edr1-no-rows", "labels-empty",
+         "temporal-empty"],
 )
 def test_malformed_files_raise_validation_errors_naming_the_file(loader, content, tmp_path):
     path = tmp_path / "input.file"

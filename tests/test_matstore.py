@@ -321,6 +321,13 @@ class TestStochasticValidation:
         with pytest.raises(ValidationError, match="negative"):
             ProductChain([A]).validate_stochastic()
 
+    def test_negative_prefix_weight_rejected(self):
+        # Rows of 1.5 L - 0.5 L still sum to 1, but the operator has
+        # negative entries.
+        L = row_normalize(random_sparse(25, 25, 0.2, 3) + sp.eye(25))
+        with pytest.raises(ValidationError, match="weights must be nonnegative"):
+            ProductChain([L, L], weights=[1.5, -0.5]).validate_stochastic()
+
     def test_non_stochastic_rows_reported(self):
         A = sp.csr_matrix(np.array([[0.5, 0.5], [0.3, 0.3]]))
         with pytest.raises(ValidationError, match="row-stochastic"):
