@@ -134,7 +134,7 @@ def _build_parser() -> _Parser:
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .graphs import DcsbmInstance, DcsbmParams, dcsbm_sample, walk_operator
+from .graphs import DcsbmInstance, DcsbmParams, _affinities, dcsbm_sample, walk_operator
 from .mixture import kmeans_label
 from .optimizer import OptimizerConfig, fit
 
@@ -109,8 +109,8 @@ def dcsbm_benchmark(
     """Run the community pipeline over a hardness grid.
 
     Returns tidy rows (alpha, seed, nmi, wall_time), one per
-    alpha/seed combination.  Every grid cell, the walk window and the
-    mixture order are checked before the first graph is sampled.
+    alpha/seed combination.  Every grid cell and its affinities, the walk
+    window and the mixture order are checked before the first graph is sampled.
     """
     grid = [
         DcsbmParams(n=n, q=q, c=c, alpha=float(alpha), theta_recipe=theta_recipe, seed=int(seed))
@@ -121,6 +121,8 @@ def dcsbm_benchmark(
         raise ValidationError(f"walk window must be positive, got {w}")
     if cfg.kappa > n:
         raise ValidationError(f"kappa={cfg.kappa} exceeds the node count {n}")
+    for params in grid:
+        _affinities(params)
     rows = []
     for params in grid:
         score, wall = community_pipeline(

@@ -139,6 +139,21 @@ def _symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> sp.csr_matrix:
     return adj
 
 
+def _affinities(params: DcsbmParams):
+    """theta (from the second of the seed's three RNG substreams), c_in and
+    c_out of a block-model graph, checked: no edge probability exceeds 1."""
+    theta_seq = np.random.SeedSequence(params.seed).spawn(3)[1]
+    theta = _draw_theta(params.theta_recipe, params.n, np.random.default_rng(theta_seq))
+    c_in, c_out = solve_affinities(params.c, params.alpha, params.q, float(np.mean(theta**2)))
+    top = np.sort(theta)[-2:]
+    if top[0] * top[1] * c_in / params.n > 1.0:
+        raise ValidationError(
+            f"edge probability exceeds 1 for the pair theta_i={top[1]:.4f}, "
+            f"theta_j={top[0]:.4f} (c_in={c_in:.3f}, n={params.n})"
+        )
+    return theta, c_in, c_out
+
+
 #: Label draws before :func:`dcsbm_sample` gives up on filling every class.
 _LABEL_DRAWS = 1000
 
@@ -154,9 +169,9 @@ def dcsbm_sample(params: DcsbmParams) -> DcsbmInstance:
     to an exact symmetric zero-diagonal adjacency.  Labels, theta and
     edges each have their own RNG substream of the seed.
     """
-    label_rng, theta_rng, edge_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(params.seed).spawn(3)
-    )
+    theta, c_in, c_out = _affinities(params)
+    label_seq, _, edge_seq = np.random.SeedSequence(params.seed).spawn(3)
+    label_rng = np.random.default_rng(label_seq)
     for _ in range(_LABEL_DRAWS):
         labels = label_rng.integers(1, params.q + 1, size=params.n)
         if np.bincount(labels, minlength=params.q + 1)[1:].min() > 0:
@@ -166,19 +181,9 @@ def dcsbm_sample(params: DcsbmParams) -> DcsbmInstance:
             f"q={params.q} classes over n={params.n} nodes left a class empty in "
             f"{_LABEL_DRAWS} label draws; use fewer classes or more nodes"
         )
-    theta = _draw_theta(params.theta_recipe, params.n, theta_rng)
-    c_in, c_out = solve_affinities(params.c, params.alpha, params.q, float(np.mean(theta**2)))
-
-    top = np.sort(theta)[-2:]
-    if top[0] * top[1] * c_in / params.n > 1.0:
-        raise ValidationError(
-            f"edge probability exceeds 1 for the pair theta_i={top[1]:.4f}, "
-            f"theta_j={top[0]:.4f} (c_in={c_in:.3f}, n={params.n})"
-        )
-
     affinity = np.full((params.q, params.q), c_out)
     np.fill_diagonal(affinity, c_in)
-    u, v = _pair_edges(theta, labels - 1, affinity, params.n, edge_rng)
+    u, v = _pair_edges(theta, labels - 1, affinity, params.n, np.random.default_rng(edge_seq))
     adj = _symmetric_adjacency(params.n, u, v)
     return DcsbmInstance(
         adjacency=adj,

@@ -141,7 +141,10 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    return _loadtxt(path, "label file", dtype=np.int64, ndmin=1)
+    labels = _loadtxt(path, "label file", dtype=np.int64, ndmin=2)
+    if labels.shape[1] != 1:
+        raise ValidationError(f"label file {path} holds {labels.shape[1]} values per line, not 1")
+    return labels.ravel()
 
 
 _TEMPORAL_DTYPE = [("i", "<i8"), ("j", "<i8"), ("t", "<i8"), ("w", "<f8")]

@@ -12,7 +12,7 @@ shared thread pool, sized by ``product_threads``; every output row is
 computed exactly as in a serial product, so results do not depend on the
 thread count.  Transposed products use an explicit CSR transpose of each
 distinct factor, built on the first call and cached on the chain, so
-they split by rows too.  The kernel feature maps of ``znorm`` run their
+they split by rows too.  The rfa feature map of ``znorm`` runs its
 elementwise passes on the same pool, through the same range runner.
 """
 

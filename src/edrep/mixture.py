@@ -56,7 +56,11 @@ class LabelVector:
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """Per-class fraction, mean and covariance of m embedding vectors."""
+    """Per-class fraction, mean and covariance of m embedding vectors.
+
+    ``live`` (the classes with a nonzero covariance) and ``omega_stack``
+    (their covariances side by side, d x len(live) d) are derived once.
+    """
 
     pi: np.ndarray       # (kappa,)
     mu: np.ndarray       # (kappa, d)
@@ -82,9 +86,12 @@ class MixtureParams:
         # An all-zero covariance (a singleton class) is symmetric PSD as it
         # stands; only the others need the checks.
         live = np.flatnonzero(omega.any(axis=(1, 2)))
+        cov = omega[live]
+        object.__setattr__(self, "live", live)
+        # reshape(d, -1) would fail at d = 0.
+        object.__setattr__(self, "omega_stack", cov.transpose(1, 0, 2).reshape(d, live.size * d))
         if live.size == 0:
             return
-        cov = omega[live]
         asym = np.abs(cov - cov.transpose(0, 2, 1)).max()
         if asym > 1e-12:
             raise ValidationError(f"covariances asymmetric by {asym:.3e}")

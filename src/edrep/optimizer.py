@@ -25,7 +25,7 @@ from .matstore import (
     as_chain, as_dense, rescale_embedding, uniform_weights, validate_regularization_weights
 )
 from .mixture import LabelVector, MixtureParams, class_moments, kmeans_label
-from .znorm import _live_classes, _log_sum_exp, _score_blocks, exact_z, zeta_matrix
+from .znorm import _log_sum_exp, _score_blocks, exact_z, zeta_matrix
 
 #: Tangential rows whose norm falls below this fraction of the full
 #: gradient row norm count as vanished: below that scale the direction
@@ -212,12 +212,11 @@ def _mixture_normalizer(params: MixtureParams):
     exponents gives the term as well.
     """
     d = params.d
-    live = _live_classes(params)
 
     def normalize(X):
         logz, r, XO = _mixture_logz(params, X)
         term = r @ params.mu
-        for k, a in enumerate(live):
+        for k, a in enumerate(params.live):
             term += r[:, a, None] * XO[:, k * d : (k + 1) * d]
         return logz, term
 
@@ -368,6 +367,8 @@ def _resolve_labels(chain, cfg, p0, labels, keys) -> LabelVector:
     """Key labels: given, trivial for kappa=1, or two-pass: the keys of a
     single-class run clustered into kappa classes."""
     m = chain.shape[1]
+    if cfg.kappa > m:
+        raise ValidationError(f"kappa={cfg.kappa} exceeds the key row count {m}")
     if labels is None:
         if cfg.kappa == 1:
             return _single_class(m)

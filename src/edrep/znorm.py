@@ -77,12 +77,9 @@ def _compensated_rowsum(block: np.ndarray) -> np.ndarray:
     return total
 
 
-def _exponent_peak(S: np.ndarray) -> float:
+def _check_exponents(S: np.ndarray) -> None:
     # Two reductions instead of np.abs(S), which would copy the block.
-    return max(S.max(initial=0.0), -S.min(initial=0.0))
-
-
-def _check_exponents(peak: float) -> None:
+    peak = max(S.max(initial=0.0), -S.min(initial=0.0))
     if peak > EXP_GUARD:
         raise NumericError(
             f"scalar product magnitude {peak:.1f} exceeds {EXP_GUARD:.0f}; "
@@ -104,7 +101,7 @@ def _score_blocks(Y: np.ndarray, rows: int):
         for lo in range(0, X.shape[0], _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, X.shape[0])
             S = np.matmul(X[lo:hi], Y.T, out=scores[: hi - lo])
-            _check_exponents(_exponent_peak(S))
+            _check_exponents(S)
             E = np.exp(S, out=S)
             yield lo, hi, E, _compensated_rowsum(E)
 
@@ -130,20 +127,15 @@ def exact_z(X: np.ndarray, Y: np.ndarray | None = None) -> ZEstimate:
     return ZEstimate(out, "exact")
 
 
-def _live_classes(params: MixtureParams) -> list[int]:
-    """Classes with a nonzero covariance; singleton classes have none."""
-    return [a for a in range(params.kappa) if params.omega[a].any()]
-
-
 def zeta_matrix(X: np.ndarray, params: MixtureParams):
     """Per-row, per-class terms pi_a exp(x.mu_a + x.Omega_a.x / 2), as logarithms.
 
     Returns ``(L, XO)``.  ``L[i, a] = log pi_a + x_i.mu_a + x_i.Omega_a.x_i / 2``,
     so the estimate is Z_i = m sum_a exp(L[i, a]); no term overflows in
     the log domain, however large the norms.  ``XO`` is X times
-    [Omega_a ...] over the classes of :func:`_live_classes`, in order: the
-    one product that gives every quadratic exponent, returned so that the
-    gradient term can reuse it.
+    ``params.omega_stack``, the [Omega_a ...] of the classes ``params.live``
+    in order: the one product that gives every quadratic exponent,
+    returned so that the gradient term can reuse it.
     """
     X = as_dense(X, name="X")
     if X.shape[1] != params.d:
@@ -151,10 +143,9 @@ def zeta_matrix(X: np.ndarray, params: MixtureParams):
             f"X has d={X.shape[1]}, mixture parameters have d={params.d}"
         )
     d = params.d
-    live = _live_classes(params)
     L = X @ params.mu.T
-    XO = X @ np.concatenate(params.omega[live], axis=1) if live else X[:, :0]
-    for k, a in enumerate(live):
+    XO = X @ params.omega_stack
+    for k, a in enumerate(params.live):
         L[:, a] += 0.5 * np.einsum("ij,ij->i", XO[:, k * d : (k + 1) * d], X)
     # A class with pi = 0 gets log pi = -inf and weight 0.
     with np.errstate(divide="ignore"):
@@ -201,33 +192,22 @@ class KernelFeatureMap:
         return cls(W=np.random.default_rng(seed).standard_normal((n_features, d)))
 
 
-def _split_rows(fn, n: int) -> list:
+def _split_rows(fn, n: int) -> None:
     """``fn(a, b)`` over ``product_threads()`` even ranges of ``n`` rows,
-    on the product pool; the results in range order."""
+    on the product pool."""
     threads = product_threads()
-    return _run_ranges(fn, [k * n // threads for k in range(threads + 1)])
+    _run_ranges(fn, [k * n // threads for k in range(threads + 1)])
 
 
 def _performer_features(V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
     # Positive exponential features: exp(Wv - |v|^2/2) / sqrt(D); pairs of
     # features estimate exp(x.y) directly.  Written to the first rows of
-    # ``out``, and returned.
+    # ``out``, and returned.  The guard sees the whole block before the exp.
     phi = np.matmul(V, W.T, out=out[: V.shape[0]])
-    half_sq = 0.5 * np.sum(V * V, axis=1)
-
-    def exponents(a, b):
-        phi[a:b] -= half_sq[a:b, None]
-        return _exponent_peak(phi[a:b])
-
-    # The guard sees the whole block before any exp runs.
-    _check_exponents(max(_split_rows(exponents, phi.shape[0])))
-    scale = np.sqrt(W.shape[0])
-
-    def features(a, b):
-        np.exp(phi[a:b], out=phi[a:b])
-        phi[a:b] /= scale
-
-    _split_rows(features, phi.shape[0])
+    phi -= 0.5 * np.sum(V * V, axis=1)[:, None]
+    _check_exponents(phi)
+    np.exp(phi, out=phi)
+    phi /= np.sqrt(W.shape[0])
     return phi
 
 
@@ -243,6 +223,7 @@ def _rfa_features(
     np.matmul(V, W.T, out=phi[:, :D])
     scale = np.sqrt(D)
 
+    # Unlike the performer's exp, sin and cos run faster split on the pool.
     def features(a, b):
         proj = phi[a:b, :D]
         np.sin(proj, out=phi[a:b, D:])
@@ -259,7 +240,7 @@ def _exp_half_sq(V: np.ndarray) -> np.ndarray:
     """exp(|v|^2 / 2) per row, the RFA prefactor that turns the Gaussian
     kernel into exp(x.y)."""
     sq = 0.5 * np.sum(V * V, axis=1)
-    _check_exponents(_exponent_peak(sq))
+    _check_exponents(sq)
     return np.exp(sq)
 
 
@@ -273,10 +254,10 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     be positive; clamped rows are reported in the estimate).
 
     Every key block is written into one feature buffer per call, which
-    the query features reuse when they fit.  The projection runs in the
-    calling thread; the elementwise passes run in place on row ranges,
-    split on the product pool, and give the same bits at any thread
-    count.
+    the query features reuse when they fit.  Projections and the
+    performer's passes run in the calling thread; the rfa passes run in
+    place on row ranges split on the product pool, and give the same bits
+    at any thread count.
     """
     X = as_dense(X, name="X")
     Y = X if Y is None or Y is X else as_dense(Y, name="Y")

@@ -317,6 +317,16 @@ class TestConfigResolution:
         )
         assert code == EXIT_USAGE
 
+    def test_config_that_is_not_utf8_is_usage_error(self, embedding_csv, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = \xff\n")
+        out = tmp_path / "o"
+        code = run("estimate-z", "--embedding", embedding_csv, "--config", cfg, "--out", out)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_required_option_is_usage_error(self, tmp_path):
         assert run("estimate-z", "--out", tmp_path / "o") == EXIT_USAGE
 
@@ -444,11 +454,13 @@ _GRID = ("--n", 600, "--theta-recipe", "unit", "--seeds", 1, "--epochs", 2, "--d
         ("dcsbm-bench", *_GRID, "--alphas", "1", "--kappa", 601),
         ("deviation", "--n", 20, "--kappas", "1,21"),
         ("estimate-z", "--methods", "exact,mixture", "--kappa", 101),
+        ("dcsbm-bench", *_GRID, "--alphas", "1,4"),
     ],
     ids=["deviation-kappa-zero", "dcsbm-alpha-negative", "dcsbm-window-zero",
          "estimate-z-features-zero", "estimate-z-kappa-zero", "estimate-z-no-method",
          "fit-checkpoint-negative", "fit-kappa-above-rows", "dcsbm-kappa-above-n",
-         "deviation-kappa-above-n", "estimate-z-kappa-above-rows"],
+         "deviation-kappa-above-n", "estimate-z-kappa-above-rows",
+         "dcsbm-late-alpha-needs-negative-c-out"],
 )
 def test_every_option_is_checked_before_any_work(
     argv, embedding_csv, operator_mtx, expensive_calls, tmp_path, capsys

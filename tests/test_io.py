@@ -199,10 +199,12 @@ def test_missing_files_raise_validation_errors(tmp_path):
         (eio.load_dense_binary, b"EDR1" + np.array([0, 5], dtype="<u8").tobytes()),
         (eio.load_labels, b""),
         (eio.load_temporal_csv, b"# i,j,t,w\n"),
+        (eio.load_labels, b"1 2\n3 4\n"),
+        (eio.load_labels, b"1 2\n"),
     ],
     ids=["csv-word", "edr1-short-header", "edr1-partial-value", "labels-word",
          "temporal-node", "temporal-weight", "csv-empty", "edr1-no-rows", "labels-empty",
-         "temporal-empty"],
+         "temporal-empty", "labels-two-per-line", "labels-one-line-of-two"],
 )
 def test_malformed_files_raise_validation_errors_naming_the_file(loader, content, tmp_path):
     path = tmp_path / "input.file"

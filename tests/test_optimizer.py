@@ -421,6 +421,15 @@ class TestFit:
         with pytest.raises(ValidationError, match="kappa"):
             fit(P, cfg, labels=labels)
 
+    @pytest.mark.parametrize("run", [fit, fit_asymmetric])
+    def test_kappa_above_key_rows_fails_before_the_warm_pass(self, run, monkeypatch):
+        steps = []
+        monkeypatch.setattr(edrep.optimizer, "sphere_step", lambda *a: steps.append(a))
+        cfg = OptimizerConfig(d=3, n_epochs=2, kappa=31)
+        with pytest.raises(ValidationError, match="kappa=31 exceeds the key row count 30"):
+            run(random_operator(30, 26), cfg)
+        assert steps == []
+
     def test_zeta_row_sums_consistent_with_estimate(self):
         from edrep.znorm import approx_z
 

@@ -294,9 +294,9 @@ class TestKernelZ:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("side", ["keys", "queries"])
     def test_performer_guard_raises_before_any_exp(self, side, threads, monkeypatch):
-        """An exponent of 950 sits in the second row range of the second
-        key block (or in the queries); exp would overflow there, and
-        RuntimeWarning is an error under pytest."""
+        """An exponent of 950 sits in the last row of the second key block
+        (or of the queries); exp would overflow there, and RuntimeWarning
+        is an error under pytest."""
         monkeypatch.setattr(znorm, "product_threads", lambda: threads)
         fmap = KernelFeatureMap(W=np.array([[100.0]]))
         X = np.full((10, 1), 0.01)
