@@ -216,17 +216,11 @@ def _optimizer_config(resolved: dict, kappa: int | None = None):
     )
 
 
-def _check_kappa(kappa: int, rows: int, what: str) -> None:
-    """A mixture order needs at least one row per class."""
-    if not 1 <= kappa <= rows:
-        raise ValidationError(f"kappa={kappa} must lie between 1 and the {rows} rows of {what}")
-
-
 def _cmd_estimate_z(resolved: dict) -> Path:
     import numpy as np
 
     from . import io as eio
-    from .mixture import estimate_mixture, kmeans_label
+    from .mixture import check_kappa, estimate_mixture, kmeans_label
     from .znorm import KernelFeatureMap, approx_z, error_cdf, exact_z, kernel_z
 
     methods = _comma_list(resolved, "methods", str)
@@ -238,7 +232,7 @@ def _cmd_estimate_z(resolved: dict) -> Path:
     emb = eio.load_dense(resolved["embedding"])
     n, d = emb.shape
     if "mixture" in methods:
-        _check_kappa(resolved["kappa"], n, "the embedding")
+        check_kappa(resolved["kappa"], n, "the embedding")
     if {"performer", "rfa"} & set(methods):
         fmap = KernelFeatureMap.from_seed(d, resolved["features"], resolved["seed"])
     rng = np.random.default_rng(resolved["seed"])
@@ -278,6 +272,7 @@ def _cmd_estimate_z(resolved: dict) -> Path:
 
 def _run_fit(resolved: dict, exact: bool) -> Path:
     from . import io as eio
+    from .mixture import check_kappa
     from .optimizer import LOG_COLUMNS, fit, fit_exact
 
     cfg = _optimizer_config(resolved)
@@ -286,7 +281,7 @@ def _run_fit(resolved: dict, exact: bool) -> Path:
         raise ValidationError(f"--checkpoint-every must be at least 0, got {every}")
     # The reader checks that the operator is row-stochastic.
     chain = eio.load_operator(resolved["operator"])
-    _check_kappa(cfg.kappa, chain.shape[0], "the operator")
+    check_kappa(cfg.kappa, chain.shape[0], "the operator")
 
     on_epoch = None
     if every:
@@ -336,12 +331,14 @@ def _cmd_deviation(resolved: dict) -> Path:
     from .evaluate import deviation_ct
     from .graphs import negative_binomial_graph
     from .matstore import as_chain, row_normalize
+    from .mixture import check_kappa
     from .optimizer import fit, fit_exact
 
     kappas = _comma_list(resolved, "kappas", int)
     reference_cfg = _optimizer_config(resolved)
     configs = [_optimizer_config(resolved, kappa) for kappa in kappas]
-    _check_kappa(max(kappas), resolved["n"], "the comparison graph")
+    for kappa in kappas:
+        check_kappa(kappa, resolved["n"], "the comparison graph")
     # One chain serves every run: it is validated, and its transpose
     # built, once.
     operator = as_chain(

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .graphs import DcsbmInstance, DcsbmParams, _affinities, dcsbm_sample, walk_operator
-from .mixture import kmeans_label
+from .mixture import check_kappa, kmeans_label
 from .optimizer import OptimizerConfig, fit
 
 
@@ -27,20 +27,18 @@ def nmi(labels_a, labels_b) -> float:
         raise ValidationError("cannot compare empty partitions")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    ka, kb = ai.max() + 1, bi.max() + 1
-    cont = np.zeros((ka, kb))
+    cont = np.zeros((ai.max() + 1, bi.max() + 1))
     np.add.at(cont, (ai, bi), 1.0)
     n = a.size
-    pa = cont.sum(axis=1) / n
-    pb = cont.sum(axis=0) / n
+    # Every class that np.unique returns has a member, so no marginal is 0.
+    rows, cols = cont.sum(axis=1), cont.sum(axis=0)
     mi = 0.0
-    for r in range(ka):
-        for c in range(kb):
-            nij = cont[r, c]
-            if nij > 0:
-                mi += (nij / n) * math.log(nij * n / (cont[r].sum() * cont[:, c].sum()))
-    ha = -np.sum(pa * np.log(pa, where=pa > 0, out=np.zeros_like(pa)))
-    hb = -np.sum(pb * np.log(pb, where=pb > 0, out=np.zeros_like(pb)))
+    for r, c in zip(*np.nonzero(cont)):
+        nij = cont[r, c]
+        mi += (nij / n) * math.log(nij * n / (rows[r] * cols[c]))
+    pa, pb = rows / n, cols / n
+    ha = -np.sum(pa * np.log(pa))
+    hb = -np.sum(pb * np.log(pb))
     mean_h = 0.5 * (ha + hb)
     if mean_h == 0.0:
         # Both partitions are trivial single-class assignments.
@@ -119,8 +117,7 @@ def dcsbm_benchmark(
     ]
     if w < 1:
         raise ValidationError(f"walk window must be positive, got {w}")
-    if cfg.kappa > n:
-        raise ValidationError(f"kappa={cfg.kappa} exceeds the node count {n}")
+    check_kappa(cfg.kappa, n, "each graph")
     for params in grid:
         _affinities(params)
     rows = []

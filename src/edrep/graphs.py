@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .matstore import ProductChain, row_normalize
+from .matstore import ProductChain, as_csr, row_normalize
 from .mixture import LabelVector
 
 
@@ -42,8 +42,8 @@ class DcsbmParams:
     def __post_init__(self):
         if self.n < 2 or self.q < 1 or self.q > self.n:
             raise ValidationError(f"bad node/community counts n={self.n}, q={self.q}")
-        if self.c <= 0 or self.alpha <= 0:
-            raise ValidationError("expected degree and hardness must be positive")
+        if not (0 < self.c < np.inf and 0 < self.alpha < np.inf):
+            raise ValidationError(f"c={self.c} and alpha={self.alpha} must be finite and positive")
         if self.theta_recipe not in ("unit", "powerlaw"):
             raise ValidationError(f"unknown theta recipe {self.theta_recipe!r}")
 
@@ -132,11 +132,9 @@ def _pair_edges(theta, classes, affinity, norm, rng):
 
 def _symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> sp.csr_matrix:
     """The canonical symmetric 0/1 CSR of the undirected edges (u, v)."""
-    adj = sp.coo_matrix(
+    return as_csr(sp.coo_matrix(
         (np.ones(2 * u.size), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
-    ).tocsr()
-    adj.sort_indices()
-    return adj
+    ))
 
 
 def _affinities(params: DcsbmParams):
@@ -205,10 +203,8 @@ def walk_operator(adjacency, w: int) -> ProductChain:
     """
     if w < 1:
         raise ValidationError(f"walk window must be positive, got {w}")
-    L = row_normalize(adjacency)
-    if L.shape[0] != L.shape[1]:
-        raise ValidationError("walk operator needs a square adjacency")
-    return ProductChain([L] * w, weights=np.full(w, 1.0 / w))
+    # A weighted chain rejects a factor that is not square.
+    return ProductChain([row_normalize(adjacency)] * w, weights=np.full(w, 1.0 / w))
 
 
 def negative_binomial_graph(
@@ -275,10 +271,10 @@ class TemporalEdgeList:
             raise ValidationError(
                 f"snapshot indices must be >= 1, offending records {bad[:5].tolist()}"
             )
-        bad = np.flatnonzero(~(w > 0))
+        bad = np.flatnonzero(~((w > 0) & (w < np.inf)))
         if bad.size:
             raise ValidationError(
-                f"contact weights must be positive, offending records {bad[:5].tolist()}"
+                f"contact weights must be finite and positive, offending records {bad[:5].tolist()}"
             )
 
     @property
@@ -351,6 +347,5 @@ def supra_adjacency(edges: TemporalEdgeList) -> SupraGraph:
     src = np.concatenate([chained, src[keep]])
     dst = np.concatenate([chained, dst[keep]]) + 1
     wgt = np.concatenate([np.ones(chained.size), np.repeat(edges.w, 2)[keep]])
-    adj = sp.coo_matrix((wgt, (src, dst)), shape=(D, D)).tocsr()
-    adj.sort_indices()
+    adj = as_csr(sp.coo_matrix((wgt, (src, dst)), shape=(D, D)))
     return SupraGraph(nodes=np.column_stack([node_ids, node_times]), adjacency=adj)

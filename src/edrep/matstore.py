@@ -331,11 +331,8 @@ class ProductChain:
         own.  The factors do not change, so a chain that passed is not
         checked again.
         """
-        if not self._stochastic:
-            self._check_stochastic()
-            self._stochastic = True
-
-    def _check_stochastic(self) -> None:
+        if self._stochastic:
+            return
         for k, f in enumerate(self.factors):
             if f.nnz and f.data.min() < 0:
                 raise ValidationError(f"factor {k} has negative entries")
@@ -349,6 +346,7 @@ class ProductChain:
                 f"operator is not row-stochastic: {bad.size} rows deviate, "
                 f"first offenders {bad[:5].tolist()}"
             )
+        self._stochastic = True
 
 
 def _product(factors, X: np.ndarray, threads: int) -> np.ndarray:
@@ -396,9 +394,7 @@ def row_normalize(A) -> sp.csr_matrix:
             (np.ones(empty.size), (empty, empty)), shape=M.shape
         )
         out = out + loops
-    out = out.tocsr()
-    out.sort_indices()
-    return out
+    return as_csr(out)
 
 
 def rescale_embedding(X, mode: str) -> np.ndarray:

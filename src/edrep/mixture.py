@@ -22,6 +22,12 @@ PSD_EIG_TOL = -1e-8
 _MAX_ITER = 100
 
 
+def check_kappa(kappa: int, rows: int, what: str) -> None:
+    """A mixture of order kappa needs at least one row of ``what`` per class."""
+    if not 1 <= kappa <= rows:
+        raise ValidationError(f"kappa={kappa} must lie between 1 and the {rows} rows of {what}")
+
+
 @dataclass(frozen=True)
 class LabelVector:
     """Integer class labels in {1..kappa}, one per row, every class nonempty."""
@@ -34,8 +40,7 @@ class LabelVector:
         object.__setattr__(self, "labels", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("labels must form a nonempty vector")
-        if self.kappa < 1:
-            raise ValidationError(f"kappa must be positive, got {self.kappa}")
+        check_kappa(self.kappa, arr.size, "the label vector")
         if arr.min() < 1 or arr.max() > self.kappa:
             raise ValidationError(
                 f"labels must lie in 1..{self.kappa}, got range "
@@ -139,7 +144,6 @@ def class_moments(Y: np.ndarray, labels: LabelVector):
 
 def estimate_mixture(Y: np.ndarray, labels: LabelVector) -> MixtureParams:
     """Moment-match one Gaussian per labeled class of the rows of ``Y``."""
-    Y = as_dense(Y)
     mu, omega = class_moments(Y, labels)
     pi = labels.counts() / labels.n
     return MixtureParams(pi=pi, mu=mu, omega=omega, m=labels.n)
@@ -168,10 +172,7 @@ def kmeans_label(Y: np.ndarray, kappa: int, seed: int, restarts: int = 1) -> Lab
     """
     Y = as_dense(Y)
     n = Y.shape[0]
-    if kappa < 1:
-        raise ValidationError(f"kappa must be positive, got {kappa}")
-    if kappa > n:
-        raise ValidationError(f"kappa={kappa} exceeds the row count {n}")
+    check_kappa(kappa, n, "the clustered matrix")
     if restarts < 1:
         raise ValidationError(f"restarts must be positive, got {restarts}")
     if kappa == 1:

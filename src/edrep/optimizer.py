@@ -24,7 +24,7 @@ from .errors import DimensionError, NumericError, ValidationError
 from .matstore import (
     as_chain, as_dense, rescale_embedding, uniform_weights, validate_regularization_weights
 )
-from .mixture import LabelVector, MixtureParams, class_moments, kmeans_label
+from .mixture import LabelVector, MixtureParams, check_kappa, class_moments, kmeans_label
 from .znorm import _log_sum_exp, _score_blocks, exact_z, zeta_matrix
 
 #: Tangential rows whose norm falls below this fraction of the full
@@ -47,7 +47,8 @@ class OptimizerConfig:
 
     ``eta0`` must lie in (0, 1] because the sphere-preserving update
     scales the previous iterate by sqrt(1 - eta^2).  The learning rate
-    decays linearly to eta0/n_epochs over the run.
+    decays linearly to eta0/n_epochs over the run.  ``kappa`` is checked
+    against the key rows when a mixture fit starts.
     """
 
     d: int
@@ -63,8 +64,6 @@ class OptimizerConfig:
             raise ValidationError(f"eta0 must lie in (0, 1], got {self.eta0}")
         if self.n_epochs < 1:
             raise ValidationError(f"n_epochs must be positive, got {self.n_epochs}")
-        if self.kappa < 1:
-            raise ValidationError(f"kappa must be positive, got {self.kappa}")
 
 
 @dataclass
@@ -367,8 +366,7 @@ def _resolve_labels(chain, cfg, p0, labels, keys) -> LabelVector:
     """Key labels: given, trivial for kappa=1, or two-pass: the keys of a
     single-class run clustered into kappa classes."""
     m = chain.shape[1]
-    if cfg.kappa > m:
-        raise ValidationError(f"kappa={cfg.kappa} exceeds the key row count {m}")
+    check_kappa(cfg.kappa, m, "the key embedding")
     if labels is None:
         if cfg.kappa == 1:
             return _single_class(m)

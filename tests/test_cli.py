@@ -1,5 +1,7 @@
 """Subcommand contracts: exit codes, outputs, determinism, config resolution."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ import scipy.sparse as sp
 from edrep import cli, evaluate, graphs, optimizer, znorm
 from edrep import io as eio
 from edrep.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from edrep.matstore import row_normalize
+from edrep.matstore import product_threads, row_normalize
 
 
 @pytest.fixture
@@ -327,6 +329,36 @@ class TestConfigResolution:
         assert "bad.cfg" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [("samples\n", "expected key = value"), ("samples = many\n", "config key 'samples'")],
+        ids=["no-equals", "unparsable-value"],
+    )
+    def test_malformed_config_line_is_usage_error(
+        self, text, match, embedding_csv, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        code = run("estimate-z", "--embedding", embedding_csv, "--config", cfg, "--out", out)
+        assert code == EXIT_USAGE
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_skips_blank_and_comment_lines(self, embedding_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# methods = exact\n\n   \nmethods = mixture\n")
+        out = tmp_path / "out"
+        code = run("estimate-z", "--embedding", embedding_csv, "--config", cfg, "--out", out)
+        assert code == EXIT_OK
+        assert "methods = mixture" in (out / "run_config.txt").read_text()
+
+    def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--operatr", "P.mtx", "--out", tmp_path / "o")
+        assert exc.value.code == EXIT_USAGE
+        assert "--operatr" in capsys.readouterr().err
+
     def test_missing_required_option_is_usage_error(self, tmp_path):
         assert run("estimate-z", "--out", tmp_path / "o") == EXIT_USAGE
 
@@ -336,6 +368,25 @@ class TestConfigResolution:
         run("estimate-z", "--embedding", embedding_csv, "--methods", "mixture",
             "--out", out)
         assert "seed = 17" in (out / "run_config.txt").read_text()
+
+    def test_non_integer_env_seed_is_usage_error(
+        self, embedding_csv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("EDREP_SEED", "seven")
+        code = run("estimate-z", "--embedding", embedding_csv, "--out", tmp_path / "o")
+        assert code == EXIT_USAGE
+        assert "EDREP_SEED is not an integer" in capsys.readouterr().err
+
+    def test_thread_flag_sets_every_cap(self, embedding_csv, tmp_path, monkeypatch):
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, "7")
+        code = run(
+            "estimate-z", "--embedding", embedding_csv, "--methods", "mixture",
+            "--out", tmp_path / "o", "--threads", 1,
+        )
+        assert code == EXIT_OK
+        assert [os.environ[var] for var in cli._THREAD_VARS] == ["1"] * 4
+        assert product_threads() == 1
 
     def test_thread_flag_must_be_positive(self, embedding_csv, tmp_path):
         code = run(
@@ -455,12 +506,18 @@ _GRID = ("--n", 600, "--theta-recipe", "unit", "--seeds", 1, "--epochs", 2, "--d
         ("deviation", "--n", 20, "--kappas", "1,21"),
         ("estimate-z", "--methods", "exact,mixture", "--kappa", 101),
         ("dcsbm-bench", *_GRID, "--alphas", "1,4"),
+        ("dcsbm-bench", *_GRID, "--alphas", "1", "--c", "nan"),
+        ("dcsbm-bench", *_GRID, "--alphas", "1", "--c", "inf"),
+        ("dcsbm-bench", *_GRID, "--alphas", "nan"),
+        ("fit", "--dim", 0),
+        ("fit", "--epochs", 0),
     ],
     ids=["deviation-kappa-zero", "dcsbm-alpha-negative", "dcsbm-window-zero",
          "estimate-z-features-zero", "estimate-z-kappa-zero", "estimate-z-no-method",
          "fit-checkpoint-negative", "fit-kappa-above-rows", "dcsbm-kappa-above-n",
          "deviation-kappa-above-n", "estimate-z-kappa-above-rows",
-         "dcsbm-late-alpha-needs-negative-c-out"],
+         "dcsbm-late-alpha-needs-negative-c-out", "dcsbm-c-nan", "dcsbm-c-inf",
+         "dcsbm-alpha-nan", "fit-dim-zero", "fit-epochs-zero"],
 )
 def test_every_option_is_checked_before_any_work(
     argv, embedding_csv, operator_mtx, expensive_calls, tmp_path, capsys

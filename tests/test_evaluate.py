@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from edrep.errors import DimensionError
+from edrep.errors import DimensionError, ValidationError
 from edrep.evaluate import community_pipeline, deviation_ct, nmi
 from edrep.graphs import DcsbmParams, dcsbm_sample
 from edrep.mixture import LabelVector
@@ -55,6 +55,13 @@ class TestNmi:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             nmi(np.ones(3), np.ones(4))
+
+    def test_empty_partitions_rejected(self):
+        with pytest.raises(ValidationError, match="empty"):
+            nmi(np.array([]), np.array([]))
+
+    def test_two_single_class_partitions_score_one(self):
+        assert nmi(np.ones(5), np.full(5, 3)) == 1.0
 
 
 class TestDeviationCt:

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edrep.errors import ValidationError
+from edrep.errors import DimensionError, ValidationError
 from edrep.graphs import (
     DcsbmParams,
     SupraGraph,
@@ -118,6 +118,32 @@ class TestAffinityInversion:
     def test_unreachable_hardness_rejected(self):
         with pytest.raises(ValidationError, match="c_out"):
             solve_affinities(10.0, 4.0, 4, 1.0)  # homogeneous cap is sqrt(10)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_nonpositive_hardness_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="c_in"):
+            solve_affinities(10.0, alpha, 4, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        (dict(n=1), "bad node/community counts"),
+        (dict(q=0), "bad node/community counts"),
+        (dict(q=11), "bad node/community counts"),
+        (dict(theta_recipe="lognormal"), "unknown theta recipe"),
+        (dict(c=0.0), "finite and positive"),
+        (dict(c=np.nan), "finite and positive"),
+        (dict(c=np.inf), "finite and positive"),
+        (dict(alpha=np.nan), "finite and positive"),
+        (dict(alpha=np.inf), "finite and positive"),
+    ],
+    ids=["n-one", "q-zero", "q-above-n", "recipe", "c-zero", "c-nan", "c-inf", "alpha-nan",
+         "alpha-inf"],
+)
+def test_dcsbm_params_rejected(fields, match):
+    with pytest.raises(ValidationError, match=match):
+        DcsbmParams(**{"n": 10, "q": 2, "c": 4.0, "alpha": 1.0, **fields})
 
 
 class TestDcsbmSample:
@@ -377,6 +403,12 @@ class TestWalkOperator:
         with pytest.raises(ValidationError):
             walk_operator(np.eye(3), 0)
 
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_rectangular_adjacency_rejected(self, w):
+        # The chain rejects it: not square at w = 1, not composable above.
+        with pytest.raises(DimensionError):
+            walk_operator(sp.csr_matrix(np.ones((2, 3))), w)
+
 
 class TestNegativeBinomialGraph:
     def test_symmetric_zero_diagonal_and_normalizable(self):
@@ -396,6 +428,11 @@ class TestNegativeBinomialGraph:
     def test_node_count_must_be_positive(self, n):
         with pytest.raises(ValidationError, match="n >= 1"):
             negative_binomial_graph(n)
+
+    def test_all_zero_propensities_rejected(self):
+        # At p this close to 1 every draw is 0 for any seed in practice.
+        with pytest.raises(ValidationError, match="all propensities came out zero"):
+            negative_binomial_graph(5, r=1, p=1.0 - 1e-12)
 
     def test_p_of_one_is_rejected_as_out_of_range(self):
         # At p = 1 every propensity is 0, whatever the seed.
@@ -564,3 +601,22 @@ class TestTemporalEdgeList:
             TemporalEdgeList(
                 i=np.array([1]), j=np.array([2]), t=np.array([1]), w=np.array([0.0])
             )
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weights_rejected_by_record(self, bad):
+        match = r"finite and positive, offending records \[1\]"
+        with pytest.raises(ValidationError, match=match):
+            TemporalEdgeList(
+                i=np.array([1, 1, 2]), j=np.array([2, 3, 3]), t=np.array([1, 1, 2]),
+                w=np.array([1.0, bad, 2.0]),
+            )
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [((np.array([1, 2]), np.array([2])), "equal-length"), ((np.array([]),) * 2, "empty")],
+        ids=["unequal", "empty"],
+    )
+    def test_column_shapes_checked(self, columns, match):
+        i, j = columns
+        with pytest.raises(ValidationError, match=match):
+            TemporalEdgeList(i=i, j=j, t=np.ones(i.size), w=np.ones(i.size))

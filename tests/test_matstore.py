@@ -451,3 +451,26 @@ class TestRegularizationWeights:
             validate_regularization_weights(np.array([1.5, -0.5]))
         with pytest.raises(DimensionError):
             validate_regularization_weights(uniform_weights(4), n=5)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: matstore.as_dense(np.zeros((2, 2, 2))), ValidationError, "2-dimensional"),
+        (lambda: matstore.as_csr(sp.csr_matrix([[1.0, np.inf]])), ValidationError, "non-finite"),
+        (lambda: ProductChain([sp.eye(2)], weights=[[1.0]]), DimensionError, "prefix weights"),
+        (lambda: ProductChain([]), ValidationError, "at least one factor"),
+        (lambda: ProductChain([sp.eye(2)], weights=[np.nan]), ValidationError, "finite"),
+        (lambda: ProductChain([sp.csr_matrix(np.ones((2, 3)))], weights=[1.0]), DimensionError,
+         "square"),
+        (lambda: ProductChain([sp.eye(4)]).apply_transpose(np.zeros((5, 2))), DimensionError,
+         "transposed chain expects 4"),
+        (lambda: row_normalize(sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))),
+         ValidationError, r"rectangular matrix: rows \[1\]"),
+    ],
+    ids=["dense-3d", "csr-non-finite", "weights-not-vector", "no-factors", "weights-non-finite",
+         "weighted-non-square", "transpose-operand-rows", "rectangular-empty-rows"],
+)
+def test_malformed_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -99,6 +99,18 @@ class TestLabelVector:
         with pytest.raises(ValidationError, match="empty"):
             LabelVector(np.array([1, 1, 3]), 3)
 
+    @pytest.mark.parametrize(
+        "labels, kappa, match",
+        [
+            (np.array([], dtype=np.int64), 1, "nonempty vector"),
+            (np.array([1, 1]), 0, "kappa=0 must lie between 1 and the 2 rows"),
+        ],
+        ids=["empty", "kappa-zero"],
+    )
+    def test_rejects_malformed_vectors(self, labels, kappa, match):
+        with pytest.raises(ValidationError, match=match):
+            LabelVector(labels, kappa)
+
     def test_counts(self):
         lv = LabelVector(np.array([1, 2, 2, 3]), 3)
         np.testing.assert_array_equal(lv.counts(), [1, 2, 1])
@@ -395,6 +407,21 @@ class TestMixtureParamsChecks:
         omega[2] = [[1.0, 0.5], [0.0, 1.0]]
         with pytest.raises(ValidationError, match="asymmetric"):
             self.params(omega)
+
+    @pytest.mark.parametrize(
+        "pi, mu, omega, m, match",
+        [
+            (np.ones((1, 1)), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1, "wrong ranks"),
+            (np.full(2, 0.5), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1, "disagree"),
+            (np.ones(1), np.zeros((1, 2)), np.zeros((1, 3, 3)), 1, "disagree"),
+            (np.ones(1), np.zeros((1, 2)), np.zeros((1, 2, 2)), 0, "m must be positive"),
+            (np.full(2, 0.4), np.zeros((2, 2)), np.zeros((2, 2, 2)), 2, "sum to 1"),
+        ],
+        ids=["ranks", "pi-length", "omega-shape", "m-zero", "pi-sum"],
+    )
+    def test_malformed_parameters_rejected(self, pi, mu, omega, m, match):
+        with pytest.raises(ValidationError, match=match):
+            MixtureParams(pi=pi, mu=mu, omega=omega, m=m)
 
     def test_zero_and_psd_covariances_pass(self):
         omega = np.zeros((3, 2, 2))

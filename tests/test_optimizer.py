@@ -317,6 +317,11 @@ class TestSphereStep:
         with pytest.raises(ValidationError):
             sphere_step(X, X, 1.5)
 
+    def test_gradient_shape_must_match(self):
+        X = np.array([[1.0, 0.0]])
+        with pytest.raises(DimensionError, match="gradient shape"):
+            sphere_step(X, np.zeros((2, 2)), 0.5)
+
 
 class TestFit:
     def test_rows_stay_unit_norm_through_training(self):
@@ -426,7 +431,8 @@ class TestFit:
         steps = []
         monkeypatch.setattr(edrep.optimizer, "sphere_step", lambda *a: steps.append(a))
         cfg = OptimizerConfig(d=3, n_epochs=2, kappa=31)
-        with pytest.raises(ValidationError, match="kappa=31 exceeds the key row count 30"):
+        match = "kappa=31 must lie between 1 and the 30 rows of the key embedding"
+        with pytest.raises(ValidationError, match=match):
             run(random_operator(30, 26), cfg)
         assert steps == []
 
@@ -448,6 +454,16 @@ class TestFit:
         bad = sp.csr_matrix(np.array([[0.5, 0.5], [0.7, 0.7]]))
         with pytest.raises(ValidationError, match="row-stochastic"):
             fit(bad, OptimizerConfig(d=2, seed=0))
+
+    def test_rectangular_operator_rejected(self):
+        P = row_normalize(sp.csr_matrix(np.ones((6, 4))))
+        with pytest.raises(ValidationError, match="fit needs a square operator"):
+            fit(P, OptimizerConfig(d=2))
+
+    def test_label_count_must_match_key_rows(self):
+        labels = LabelVector(np.tile([1, 2], 10), 2)
+        with pytest.raises(DimensionError, match="20 labels for 30 rows"):
+            fit(random_operator(30, 26), OptimizerConfig(d=3, n_epochs=2, kappa=2), labels=labels)
 
     def test_invalid_rate_rejected_at_config(self):
         with pytest.raises(ValidationError):

@@ -66,3 +66,21 @@ def test_fit_exact_reaches_the_traced_exact_z(monkeypatch):
     calls = counted(monkeypatch, optimizer, ("exact_z",))
     optimizer.fit_exact(small_operator(), optimizer.OptimizerConfig(d=3, n_epochs=2))
     assert calls["exact_z"] > 0
+
+
+def test_fit_reaches_the_traced_chain_apply(monkeypatch):
+    """The operator check is the fit's one call of the public product, so
+    the traced ``matstore.apply`` layer is not empty on a fit workload."""
+    from edrep import optimizer
+    from edrep.matstore import ProductChain
+
+    calls = []
+    original = ProductChain.apply
+
+    def counting(self, X):
+        calls.append(X.shape)
+        return original(self, X)
+
+    monkeypatch.setattr(ProductChain, "apply", counting)
+    optimizer.fit(small_operator(), optimizer.OptimizerConfig(d=3, n_epochs=2))
+    assert calls

@@ -338,6 +338,35 @@ class TestKernelZ:
             kernel_z(np.zeros((2, 3)), np.zeros((2, 3)), fmap, "nystrom")
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "values, error, match",
+        [
+            (np.ones((2, 2)), ValidationError, "vector"),
+            (np.array([1.0, 0.0]), NumericError, "nonpositive or non-finite"),
+            (np.array([1.0, np.inf]), NumericError, "nonpositive or non-finite"),
+        ],
+        ids=["not-vector", "nonpositive", "non-finite"],
+    )
+    def test_z_estimate_values_checked(self, values, error, match):
+        with pytest.raises(error, match=match):
+            ZEstimate(values, "exact")
+
+    def test_kernel_z_checks_the_map_dimension(self):
+        fmap = KernelFeatureMap.from_seed(3, 8, 0)
+        with pytest.raises(DimensionError, match="d=3"):
+            kernel_z(np.zeros((2, 4)), np.zeros((2, 4)), fmap, "performer")
+
+    def test_error_cdf_row_counts_must_match(self):
+        ref = ZEstimate(np.ones(3), "exact")
+        with pytest.raises(DimensionError, match="row counts differ"):
+            error_cdf(ref, ZEstimate(np.ones(2), "mixture(1)"))
+
+    def test_concentration_probe_needs_two_repeats(self):
+        with pytest.raises(ValidationError, match="2 repeats"):
+            concentration_probe(lambda m, rng: np.zeros((m, 2)), np.ones(2), [4], 1)
+
+
 class TestErrorCdf:
     def test_identical_estimates_give_zero_errors(self):
         ref = exact_z(np.zeros((5, 2)), np.ones((3, 2)))
