@@ -12,8 +12,11 @@ shared thread pool, sized by ``product_threads``; every output row is
 computed exactly as in a serial product, so results do not depend on the
 thread count.  Transposed products use an explicit CSR transpose of each
 distinct factor, built on the first call and cached on the chain, so
-they split by rows too.  The rfa feature map of ``znorm`` runs its
-elementwise passes on the same pool, through the same range runner.
+they split by rows too.  A one-factor chain also serves P'X a row range
+at a time from that transpose, so the epoch loop of a fit holds one
+block of it, never the whole n x d product.  The rfa feature map of
+``znorm`` runs its elementwise passes on the same pool, through the same
+range runner.
 """
 
 from __future__ import annotations
@@ -143,6 +146,17 @@ def _run_ranges(fn, cuts) -> list:
     return [future.result() for future in futures] + [last]
 
 
+def _add_rows(f: sp.csr_matrix, x: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
+    """Add rows a:b of ``f @ X`` into ``out``, C-contiguous of shape
+    (b - a, columns of X); ``x`` is X raveled.  scipy's CSR kernel
+    checks no bounds, so the range must lie within the rows of f and
+    ``out`` must have exactly that shape."""
+    # The row pointers of a range index the factor's whole arrays.
+    _sparsetools.csr_matvecs(
+        b - a, f.shape[1], out.shape[1], f.indptr[a : b + 1], f.indices, f.data, x, out.ravel()
+    )
+
+
 def spmm(
     f: sp.csr_matrix, X: np.ndarray, threads: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -165,14 +179,11 @@ def spmm(
         out.fill(0.0)
     x = X.ravel()
     if threads == 1:
-        _sparsetools.csr_matvecs(n, f.shape[1], d, f.indptr, f.indices, f.data, x, out.ravel())
+        _add_rows(f, x, 0, n, out)
         return out
 
     def rows(a, b):
-        # The row pointers of a range index the factor's whole arrays.
-        _sparsetools.csr_matvecs(
-            b - a, f.shape[1], d, f.indptr[a : b + 1], f.indices, f.data, x, out[a:b].ravel()
-        )
+        _add_rows(f, x, a, b, out[a:b])
 
     # Targets in the pointers' own dtype: a float or wider search would
     # copy the whole pointer array.
@@ -222,7 +233,8 @@ class ProductChain:
                 raise ValidationError(f"prefix weights must be numbers: {exc}") from exc
             if w.shape != (len(self.factors),):
                 raise DimensionError(
-                    f"got {w.size} prefix weights for {len(self.factors)} factors"
+                    f"prefix weights have shape {w.shape}, expected "
+                    f"({len(self.factors)},), one per factor"
                 )
             if not np.all(np.isfinite(w)):
                 raise ValidationError("prefix weights must be finite")
@@ -304,6 +316,39 @@ class ProductChain:
             out += np.multiply(self.weights[t], X, out=acc)
             acc, spare = out, acc
         return spmm(transposed[0], acc, threads, spare)
+
+    def _transpose_rows(self, X: np.ndarray):
+        """A function ``(lo, hi) -> rows lo:hi of P'X``, for any ranges.
+
+        An unweighted one-factor chain computes the rows on each call, in
+        the calling thread, from the cached transpose: each row is the
+        same sum, in the same order, as in ``spmm``, so it is bitwise
+        equal to the whole product's.  The rows go to one buffer, overwritten by the
+        next call, so the server holds one block, not an n x d array.
+        Any other chain computes the whole product once and serves
+        slices of it.
+        """
+        if self.weights is not None or len(self.factors) > 1:
+            PtX = self._apply_transpose(X)
+            return lambda lo, hi: PtX[lo:hi]
+        T = self._transposes()[0]
+        n, d = T.shape[0], X.shape[1]
+        x = X.ravel()
+        buf = np.empty((0, d))
+
+        def rows(lo, hi):
+            nonlocal buf
+            # _add_rows checks no bounds.
+            if not 0 <= lo <= hi <= n:
+                raise DimensionError(f"rows {lo}:{hi} outside the {n} rows of P'X")
+            if buf.shape[0] < hi - lo:
+                buf = np.empty((hi - lo, d))
+            out = buf[: hi - lo]
+            out.fill(0.0)
+            _add_rows(T, x, lo, hi, out)
+            return out
+
+        return rows
 
     def _transposes(self) -> list[sp.csr_matrix]:
         """CSR transposes of the factors, built once per distinct factor.

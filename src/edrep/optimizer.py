@@ -126,12 +126,14 @@ def _objective(X: np.ndarray, PY: np.ndarray, p0Y: np.ndarray):
 def _pull(chain, X, PY, p0Y, p0, keys):
     """The affinity and regularizer gradient of the rows of X, as a function
     of a row block (lo, hi): -P Y + 1 p0'Y against separate keys, else
-    -(P X + P'X) + (1 p0'X + p0 1'X)."""
+    -(P X + P'X) + (1 p0'X + p0 1'X).  The rows of P'X come from the
+    chain's row server: a block at a time for a one-factor chain, slices
+    of the whole product for any other."""
     if keys:
         return lambda lo, hi: -PY[lo:hi] + p0Y
-    PtX = chain._apply_transpose(X)
+    PtX = chain._transpose_rows(X)
     xsum = X.sum(axis=0)
-    return lambda lo, hi: -(PY[lo:hi] + PtX[lo:hi]) + (p0Y + np.outer(p0[lo:hi], xsum))
+    return lambda lo, hi: -(PY[lo:hi] + PtX(lo, hi)) + (p0Y + np.outer(p0[lo:hi], xsum))
 
 
 def exact_loss(X: np.ndarray, P, p0, Y: np.ndarray | None = None) -> float:
@@ -304,8 +306,10 @@ def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str, out: n
     and the gradient are finite; the stepped rows must have unit norm.
     They are written into ``out``, each block after its gradient is made,
     so ``out`` may hold data that only that block's pull reads (the
-    epoch passes P Y, and so allocates no array for the new rows).
-    Returns ``out`` and the total log Z of the rows of X.
+    epoch passes P Y, and so allocates no array for the new rows).  The
+    pull may read all of X, as a one-factor chain's block of P'X does,
+    so ``out`` must not be X.  Returns ``out`` and the total log Z of
+    the rows of X.
     """
     logz = 0.0
     for lo, hi in _row_blocks(X.shape[0]):
@@ -326,10 +330,15 @@ def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_ep
     a block of query rows, the normalizer returns their log Z per row and
     its gradient term.  Without ``keys``, Y is X; with it, Y is a second
     embedding moved only by the affinity and regularizer.  Work on whole
-    matrices (operator products, column sums, key moments) comes first;
+    matrices (key moments, operator products, column sums) comes first;
     then each row block of X gets its normalizer pieces, its gradient and
-    its sphere step while it is in cache.  Returns X, Y, the (epoch, eta,
-    loss) rows and X's trajectory or None.
+    its sphere step while it is in cache.  The normalizer is built before
+    P Y exists, so the copies its moments make are freed by then; on a
+    one-factor chain the block loop computes P'X a block at a time, so
+    the epoch holds two n x d arrays, X and P Y (which the step
+    overwrites with the new rows), where a walk chain's weighted product
+    holds four.  Returns X, Y, the (epoch, eta, loss) rows and X's
+    trajectory or None.
     """
     n, m = chain.shape
     rng = np.random.default_rng(cfg.seed)
@@ -340,13 +349,17 @@ def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_ep
     rows = []
     for t in range(cfg.n_epochs):
         eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
+        # The normalizer first: the centred copies of its class moments
+        # are gone before P Y is made.
+        normalize = prepare(Y)
         PY = chain._apply(Y)
         p0Y = p0 @ Y
         loss = _objective(X, PY, p0Y)
         # The step writes the new rows over P Y.  Left unbound, the pull
-        # and the P'X it holds die with the step.
+        # and the rows of P'X it serves (one block buffer on a one-factor
+        # chain, the whole product on any other) die with the step.
         stepped, logz = _blocked_step(
-            X, prepare(Y), _pull(chain, X, PY, p0Y, p0, keys), eta, f"after epoch {t}", PY
+            X, normalize, _pull(chain, X, PY, p0Y, p0, keys), eta, f"after epoch {t}", PY
         )
         rows.append((t, eta, loss(logz)))
         if keys:

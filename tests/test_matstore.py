@@ -106,6 +106,17 @@ class TestChainApply:
         with pytest.raises(DimensionError):
             ProductChain([sp.eye(3, format="csr")], weights=[0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "weights, shape",
+        [([[1.0]], r"\(1, 1\)"), ([0.5, 0.5], r"\(2,\)"), ([], r"\(0,\)")],
+    )
+    def test_weight_shape_error_names_the_shape(self, weights, shape):
+        """A 2-D weight array has the right size and the wrong shape; the
+        message gives its shape, not a count that matches the factors."""
+        match = rf"prefix weights have shape {shape}, expected \(1,\), one per factor"
+        with pytest.raises(DimensionError, match=match):
+            ProductChain([sp.eye(3, format="csr")], weights=weights)
+
 
 def serial_apply(chain, X):
     """Oracle: the single-threaded chain product, one scipy product per factor."""
@@ -250,6 +261,97 @@ class TestRowSplitProducts:
         assert product_threads() == cores
         monkeypatch.delenv("OMP_NUM_THREADS")
         assert product_threads() == cores
+
+
+def transpose_rows_cases(n, m, density, seed):
+    """A one-factor chain of shape (n, m) with empty rows and, at low
+    density, empty columns (empty rows of P'), and its weighted and
+    two-factor relatives of the same shape."""
+    P = sparse_with_empty_rows(n, m, density, seed)
+    chains = {"one-factor": ProductChain([P])}
+    if n == m:
+        chains["weighted"] = ProductChain([P, P], weights=[0.25, 0.75])
+        chains["one-factor weighted"] = ProductChain([P], weights=[1.0])
+    chains["two-factor"] = ProductChain([random_sparse(m, m, density, seed + 1), P])
+    return chains
+
+
+def directed_graph(n, degree, seed):
+    """A random directed graph of about ``degree`` edges per row, every
+    third row empty, built without dense-size temporaries."""
+    i, j = np.random.default_rng(seed).integers(0, n, (2, degree * n))
+    keep = i % 3 != 0
+    return sp.csr_matrix((np.ones(keep.sum()), (i[keep], j[keep])), shape=(n, n))
+
+
+class TestTransposeRows:
+    """``_transpose_rows`` serves rows lo:hi of P'X, bitwise equal to the
+    same rows of the whole product, for any ranges in any order."""
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 40),
+        square=st.booleans(),
+        m=st.integers(1, 40),
+        d=st.integers(1, 5),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        threads=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+        cuts=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=8),
+    )
+    def test_rows_equal_slices_of_the_whole_product(
+        self, n, square, m, d, density, threads, seed, cuts
+    ):
+        m = n if square else m
+        X = np.random.default_rng(seed).standard_normal((n, d))
+        # P'X has m rows.  The whole range, then ranges in any order and
+        # of any length, shorter and longer than those served before.
+        cuts = [sorted((a % (m + 1), b % (m + 1))) for a, b in cuts]
+        ranges = [(0, m), *cuts, (0, m)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matstore, "product_threads", lambda: threads)
+            for chain in transpose_rows_cases(n, m, density, seed).values():
+                whole = chain.apply_transpose(X)
+                rows = chain._transpose_rows(X)
+                for lo, hi in ranges:
+                    assert rows(lo, hi).tobytes() == whole[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ranges_past_one_block(self, threads, monkeypatch):
+        """Epoch-loop blocks of 2048 rows, then ranges longer than any
+        served before, up to every row at once."""
+        monkeypatch.setattr(matstore, "product_threads", lambda: threads)
+        n, d = 5000, 4
+        P = directed_graph(n, 3, 7)
+        X = np.random.default_rng(8).standard_normal((n, d))
+        whole = ProductChain([P]).apply_transpose(X)
+        rows = ProductChain([P])._transpose_rows(X)
+        for lo, hi in [(0, 2048), (2048, 4096), (4096, n), (100, 4100), (0, n), (7, 9)]:
+            assert rows(lo, hi).tobytes() == whole[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 7), (6, 7)])
+    def test_range_outside_the_rows_rejected(self, lo, hi):
+        """The kernel checks no bounds, so the server does."""
+        rows = ProductChain([random_sparse(6, 4, 0.5, 1)])._transpose_rows(np.ones((6, 2)))
+        with pytest.raises(DimensionError, match=f"rows {lo}:{hi} outside the 4 rows"):
+            rows(lo, hi)
+
+    def test_one_factor_chain_holds_one_block(self):
+        """Streamed rows take one buffer of the longest range served; the
+        whole product would take an n x d array."""
+        n, d, block = 20000, 16, 2048
+        chain = ProductChain([row_normalize(directed_graph(n, 5, 9))])
+        X = np.random.default_rng(10).standard_normal((n, d))
+        chain.apply_transpose(X[:, :1])  # builds the cached transpose
+        tracemalloc.start()
+        try:
+            rows = chain._transpose_rows(X)
+            for lo in range(0, n, block):
+                rows(lo, min(lo + block, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block * d * 8 + 16 * 1024
 
 
 class TestProductBuffers:

@@ -50,6 +50,14 @@ def random_operator(n, seed, density=0.25):
     return row_normalize(base + sp.eye(n))
 
 
+def directed_graph(n, degree, seed):
+    """A random directed graph of about ``degree`` edges per row, every
+    third row empty, built without dense-size temporaries."""
+    i, j = np.random.default_rng(seed).integers(0, n, (2, degree * n))
+    keep = i % 3 != 0
+    return sp.csr_matrix((np.ones(keep.sum()), (i[keep], j[keep])), shape=(n, n))
+
+
 def unit_rows(rng, n, d):
     return rescale_embedding(rng.standard_normal((n, d)), "unit-rows")
 
@@ -468,6 +476,41 @@ class TestFit:
     def test_invalid_rate_rejected_at_config(self):
         with pytest.raises(ValidationError):
             OptimizerConfig(d=4, eta0=1.5)
+
+    @pytest.mark.parametrize("kappa", [1, 3])
+    def test_streamed_transpose_equals_the_whole_product(self, kappa):
+        """Oracle: a weighted one-factor chain of weight 1 is the same
+        operator, and its fit takes P'X as one whole product; a plain
+        one-factor chain streams it a block at a time.  The graph's empty
+        rows become self-loops; its empty columns leave rows of P' empty."""
+        n = 5000
+        P = row_normalize(directed_graph(n, 3, 60))
+        cfg = OptimizerConfig(d=16, n_epochs=4, kappa=kappa, seed=3)
+        streamed = fit(P, cfg)
+        whole = fit(ProductChain([P], weights=[1.0]), cfg)
+        assert streamed.X.tobytes() == whole.X.tobytes()
+        assert streamed.log.tobytes() == whole.log.tobytes()
+        assert streamed.labels.labels.tobytes() == whole.labels.labels.tobytes()
+
+    def test_one_factor_fit_holds_fewer_than_three_arrays(self):
+        """The normalizer is built before P X exists, and P'X is served a
+        block at a time, so a fit holds X and P X.  Peak of a second fit
+        on a warmed one-factor chain, n = 20000, d = 16, 2 epochs: the
+        loop that held X, P X and the whole P'X, and made the moments'
+        centred copy while P X was live, peaked at 9,175,846 bytes
+        (3.58 n x d arrays; numpy 2.4.6, scipy 1.17.1, Python 3.11);
+        now about 2.7 arrays."""
+        n, d = 20000, 16
+        chain = ProductChain([row_normalize(directed_graph(n, 5, 12))])
+        cfg = OptimizerConfig(d=d, n_epochs=2, seed=0)
+        fit(chain, cfg)  # validates the chain, caches its transpose
+        tracemalloc.start()
+        try:
+            fit(chain, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * d * 8
 
     def test_epoch_loop_skips_the_public_operand_checks(self, monkeypatch):
         """The loop's products take the unchecked path; the public ones,
