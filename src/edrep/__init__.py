@@ -28,7 +28,7 @@ _EXPORTS = {
     "NumericError": "errors",
     "ProductChain": "matstore",
     "row_normalize": "matstore",
-    "rescale_embedding": "matstore",
+    "unit_rows": "matstore",
     "uniform_weights": "matstore",
     "LabelVector": "mixture",
     "MixtureParams": "mixture",
@@ -52,7 +52,6 @@ _EXPORTS = {
     "sphere_step": "optimizer",
     "fit": "optimizer",
     "fit_exact": "optimizer",
-    "fit_asymmetric": "optimizer",
     "DcsbmParams": "graphs",
     "DcsbmInstance": "graphs",
     "dcsbm_sample": "graphs",

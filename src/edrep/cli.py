@@ -169,6 +169,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             resolved["seed"] = int(os.environ.get("EDREP_SEED", "0"))
         except ValueError as exc:
             raise _UsageError(f"EDREP_SEED is not an integer: {exc}") from exc
+    if resolved.get("seed", 0) < 0:
+        raise ValidationError(f"seed must be non-negative, got {resolved['seed']}")
     missing = [opt for opt, value in resolved.items() if value is None]
     if missing:
         raise _UsageError(

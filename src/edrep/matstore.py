@@ -442,25 +442,11 @@ def row_normalize(A) -> sp.csr_matrix:
     return as_csr(out)
 
 
-def rescale_embedding(X, mode: str) -> np.ndarray:
-    """Rescale embedding rows.
-
-    ``mode="average-norm-one"`` divides the whole matrix by the mean row
-    norm; ``mode="unit-rows"`` normalizes each row to unit length and
-    rejects zero rows.
-    """
+def unit_rows(X) -> np.ndarray:
+    """The rows of ``X`` divided by their norms; zero rows are rejected."""
     X = as_dense(X, name="embedding")
     norms = np.linalg.norm(X, axis=1)
-    if mode == "average-norm-one":
-        mean = norms.mean()
-        if mean == 0:
-            raise ValidationError("embedding is identically zero")
-        return X / mean
-    if mode == "unit-rows":
-        zero = np.flatnonzero(norms == 0)
-        if zero.size:
-            raise ValidationError(
-                f"cannot normalize zero rows to unit length: rows {zero.tolist()}"
-            )
-        return X / norms[:, None]
-    raise ValidationError(f"unknown rescale mode {mode!r}")
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise ValidationError(f"cannot normalize zero rows to unit length: rows {zero.tolist()}")
+    return X / norms[:, None]

@@ -6,8 +6,8 @@ over embeddings whose rows live on the unit sphere.  In trace form it
 reads  -tr(X'PX) + sum_i log Z_i + tr(X'1 p0'X).  The log-Z part is the
 quadratic-cost bottleneck; the production loop replaces it with the
 moment-matched mixture estimate, while ``fit_exact`` keeps the exact
-constants as a comparison arm.  Both arms and the asymmetric fit run one
-epoch loop; only the normalizer, which gives log Z and its gradient, differs.
+constants as a comparison arm.  Both arms run one epoch loop; only the
+normalizer, which gives log Z and its gradient, differs.
 The loop walks the query rows in blocks small enough to stay in cache:
 per block it takes the normalizer's log Z and gradient term, adds the
 affinity and regularizer pieces, and makes the sphere step.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
 from .matstore import (
-    as_chain, as_dense, rescale_embedding, uniform_weights, validate_regularization_weights
+    as_chain, as_dense, uniform_weights, unit_rows, validate_regularization_weights
 )
 from .mixture import LabelVector, MixtureParams, check_kappa, class_moments, kmeans_label
 from .znorm import _log_sum_exp, _score_blocks, exact_z, zeta_matrix
@@ -48,7 +48,7 @@ class OptimizerConfig:
     ``eta0`` must lie in (0, 1] because the sphere-preserving update
     scales the previous iterate by sqrt(1 - eta^2).  The learning rate
     decays linearly to eta0/n_epochs over the run.  ``kappa`` is checked
-    against the key rows when a mixture fit starts.
+    against the rows of the operator when a mixture fit starts.
     """
 
     d: int
@@ -74,15 +74,13 @@ class FitResult:
     iterate; columns are :data:`LOG_COLUMNS` (epoch, eta, approx loss,
     exact loss), with NaN for losses that were not evaluated.
     ``trajectory`` (optional) holds the initial embedding followed by
-    the iterate after every epoch.  ``Y`` holds the key embedding of an
-    asymmetric fit and is None for symmetric ones.
+    the iterate after every epoch.
     """
 
     X: np.ndarray
     labels: LabelVector
     log: np.ndarray
     trajectory: list[np.ndarray] | None = None
-    Y: np.ndarray | None = None
 
 
 LOG_COLUMNS = ("epoch", "eta", "approx_loss", "exact_loss")
@@ -100,67 +98,55 @@ def _mixture_params(Y: np.ndarray, labels: LabelVector) -> MixtureParams:
     return MixtureParams(pi=labels.counts() / labels.n, mu=mu, omega=omega, m=labels.n)
 
 
-def _entry(X, Y, P, p0):
-    """The entry check of the losses and the gradient: finite X and keys Y
-    (X itself when None), an operator of shape (rows of X, rows of Y) and
-    p0 over the keys."""
+def _entry(X, P, p0):
+    """The entry check of the losses and the gradient: finite X, an
+    operator of shape (rows of X, rows of X) and p0 over the rows."""
     X = as_dense(X, name="X")
-    Y = X if Y is None else as_dense(Y, name="Y")
     chain = as_chain(P)
-    if chain.shape != (X.shape[0], Y.shape[0]):
-        raise DimensionError(
-            f"operator shape {chain.shape} does not match {X.shape[0]} query "
-            f"and {Y.shape[0]} key rows"
-        )
-    return X, Y, chain, validate_regularization_weights(p0, Y.shape[0])
+    n = X.shape[0]
+    if chain.shape != (n, n):
+        raise DimensionError(f"operator shape {chain.shape} does not match {n} rows of X")
+    return X, chain, validate_regularization_weights(p0, n)
 
 
-def _objective(X: np.ndarray, PY: np.ndarray, p0Y: np.ndarray):
-    """-tr(X'PY) + sum_i log Z_i + tr(X'1 p0'Y) as a function of the total
-    log Z.  P Y is read here, so it may be overwritten before the call."""
-    affinity = -float(np.vdot(X, PY))
-    reg = float(X.sum(axis=0) @ p0Y)
+def _objective(X: np.ndarray, PX: np.ndarray, p0X: np.ndarray):
+    """-tr(X'PX) + sum_i log Z_i + tr(X'1 p0'X) as a function of the total
+    log Z.  P X is read here, so it may be overwritten before the call."""
+    affinity = -float(np.vdot(X, PX))
+    reg = float(X.sum(axis=0) @ p0X)
     return lambda logz: affinity + logz + reg
 
 
-def _pull(chain, X, PY, p0Y, p0, keys):
+def _pull(chain, X, PX, p0X, p0):
     """The affinity and regularizer gradient of the rows of X, as a function
-    of a row block (lo, hi): -P Y + 1 p0'Y against separate keys, else
-    -(P X + P'X) + (1 p0'X + p0 1'X).  The rows of P'X come from the
-    chain's row server: a block at a time for a one-factor chain, slices
-    of the whole product for any other."""
-    if keys:
-        return lambda lo, hi: -PY[lo:hi] + p0Y
+    of a row block (lo, hi): -(P X + P'X) + (1 p0'X + p0 1'X).  The rows
+    of P'X come from the chain's row server: a block at a time for a
+    one-factor chain, slices of the whole product for any other."""
     PtX = chain._transpose_rows(X)
     xsum = X.sum(axis=0)
-    return lambda lo, hi: -(PY[lo:hi] + PtX(lo, hi)) + (p0Y + np.outer(p0[lo:hi], xsum))
+    return lambda lo, hi: -(PX[lo:hi] + PtX(lo, hi)) + (p0X + np.outer(p0[lo:hi], xsum))
 
 
-def exact_loss(X: np.ndarray, P, p0, Y: np.ndarray | None = None) -> float:
+def exact_loss(X: np.ndarray, P, p0) -> float:
     """Trace-form objective with exact normalization constants, O(d n^2).
 
-    With key rows ``Y`` it is the asymmetric objective, which equals the
-    symmetric one when Y = X and the operator is square.  Intended as an
-    oracle and a comparison arm, not for large runs.
+    Intended as an oracle and a comparison arm, not for large runs.
     """
-    X, Y, chain, p0 = _entry(X, Y, P, p0)
+    X, chain, p0 = _entry(X, P, p0)
     # Summed per row block, in the order of the epoch loop.
-    logz = sum(float(np.log(exact_z(X[lo:hi], Y).values).sum()) for lo, hi in _row_blocks(len(X)))
-    return _objective(X, chain._apply(Y), p0 @ Y)(logz)
+    logz = sum(float(np.log(exact_z(X[lo:hi], X).values).sum()) for lo, hi in _row_blocks(len(X)))
+    return _objective(X, chain._apply(X), p0 @ X)(logz)
 
 
-def mixture_loss(
-    X: np.ndarray, P, p0, params: MixtureParams, Y: np.ndarray | None = None
-) -> float:
-    """Objective value with the mixture estimate substituted for the constants.
-
-    ``params`` describe the keys: the rows of ``Y`` when given, else of X."""
-    X, Y, chain, p0 = _entry(X, Y, P, p0)
+def mixture_loss(X: np.ndarray, P, p0, params: MixtureParams) -> float:
+    """Objective value with the mixture estimate substituted for the
+    constants; ``params`` describe the rows of X."""
+    X, chain, p0 = _entry(X, P, p0)
     logz = 0.0
     for lo, hi in _row_blocks(X.shape[0]):
         # Log Z alone: the loss does not need the gradient term.
         logz += float(_mixture_logz(params, X[lo:hi])[0].sum())
-    return _objective(X, chain._apply(Y), p0 @ Y)(logz)
+    return _objective(X, chain._apply(X), p0 @ X)(logz)
 
 
 def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
@@ -170,9 +156,9 @@ def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
     the log-Z part contributes the responsibility-weighted combination of
     class means and covariance images.  Cost O(E d + n kappa d^2).
     """
-    X, _, chain, p0 = _entry(X, None, P, p0)
+    X, chain, p0 = _entry(X, P, p0)
     term = _normalized(_mixture_normalizer(params), X)
-    term += _pull(chain, X, chain._apply(X), p0 @ X, p0, False)(0, X.shape[0])
+    term += _pull(chain, X, chain._apply(X), p0 @ X, p0)(0, X.shape[0])
     return term
 
 
@@ -261,7 +247,7 @@ def unit_tangential(g: np.ndarray, X: np.ndarray):
 
 
 def sphere_step(X: np.ndarray, g, eta: float) -> np.ndarray:
-    """One sphere-preserving update of every row.
+    """One sphere-preserving update of every row, at a rate 0 < eta <= 1.
 
     Each row moves to sqrt(1 - eta^2) x - eta g'' where g'' is the
     unit-norm tangential gradient; rows whose tangential gradient
@@ -273,10 +259,8 @@ def sphere_step(X: np.ndarray, g, eta: float) -> np.ndarray:
     g = as_dense(g, name="g")
     if g.shape != X.shape:
         raise DimensionError(f"gradient shape {g.shape} vs embedding {X.shape}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"eta must lie in [0, 1], got {eta}")
-    if eta == 0.0:
-        return X.copy()
+    if not 0.0 < eta <= 1.0:
+        raise ValidationError(f"eta must lie in (0, 1], got {eta}")
     gpp, mask = unit_tangential(g, X)
     moved = np.sqrt(1.0 - eta * eta) * X - eta * gpp
     norms = np.linalg.norm(moved, axis=1)
@@ -287,14 +271,15 @@ def _single_class(n: int) -> LabelVector:
     return LabelVector(np.ones(n, dtype=np.int64), 1)
 
 
-def _validated(P, p0, square: str | None = None):
-    """The operator as a chain, validated once, and p0 over its columns."""
+def _validated(P, p0, caller: str):
+    """The operator as a square chain, validated once, and p0 over its
+    rows; ``caller`` names the fit in the error message."""
     chain = as_chain(P)
-    if square and chain.shape[0] != chain.shape[1]:
-        raise ValidationError(f"{square} needs a square operator, got {chain.shape}")
+    n = chain.shape[0]
+    if chain.shape[1] != n:
+        raise ValidationError(f"{caller} needs a square operator, got {chain.shape}")
     chain.validate_stochastic()
-    m = chain.shape[1]
-    p0 = uniform_weights(m) if p0 is None else validate_regularization_weights(p0, m)
+    p0 = uniform_weights(n) if p0 is None else validate_regularization_weights(p0, n)
     return chain, p0
 
 
@@ -306,7 +291,7 @@ def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str, out: n
     and the gradient are finite; the stepped rows must have unit norm.
     They are written into ``out``, each block after its gradient is made,
     so ``out`` may hold data that only that block's pull reads (the
-    epoch passes P Y, and so allocates no array for the new rows).  The
+    epoch passes P X, and so allocates no array for the new rows).  The
     pull may read all of X, as a one-factor chain's block of P'X does,
     so ``out`` must not be X.  Returns ``out`` and the total log Z of
     the rows of X.
@@ -323,88 +308,67 @@ def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str, out: n
     return out, logz
 
 
-def _descend(chain, cfg, p0, prepare, keys=False, record_trajectory=False, on_epoch=None):
-    """The epoch loop of every fit, on a validated operator.
+def _descend(chain, cfg, p0, prepare, record_trajectory=False, on_epoch=None):
+    """The epoch loop of every fit, on a validated square operator.
 
-    ``prepare(Y)`` gives the epoch's normalizer from the keys Y; called on
-    a block of query rows, the normalizer returns their log Z per row and
-    its gradient term.  Without ``keys``, Y is X; with it, Y is a second
-    embedding moved only by the affinity and regularizer.  Work on whole
-    matrices (key moments, operator products, column sums) comes first;
-    then each row block of X gets its normalizer pieces, its gradient and
-    its sphere step while it is in cache.  The normalizer is built before
-    P Y exists, so the copies its moments make are freed by then; on a
+    ``prepare(X)`` gives the epoch's normalizer, with the rows of X as the
+    keys; called on a block of query rows, the normalizer returns their
+    log Z per row and its gradient term.  Work on whole matrices (key
+    moments, operator products, column sums) comes first; then each row
+    block of X gets its normalizer pieces, its gradient and its sphere
+    step while it is in cache.  The normalizer is built before P X
+    exists, so the copies its moments make are freed by then; on a
     one-factor chain the block loop computes P'X a block at a time, so
-    the epoch holds two n x d arrays, X and P Y (which the step
+    the epoch holds two n x d arrays, X and P X (which the step
     overwrites with the new rows), where a walk chain's weighted product
-    holds four.  Returns X, Y, the (epoch, eta, loss) rows and X's
+    holds four.  Returns X, the (epoch, eta, loss) rows and X's
     trajectory or None.
     """
-    n, m = chain.shape
     rng = np.random.default_rng(cfg.seed)
-    X = rescale_embedding(rng.standard_normal((n, cfg.d)), "unit-rows")
-    Y = rescale_embedding(rng.standard_normal((m, cfg.d)), "unit-rows") if keys else X
+    X = unit_rows(rng.standard_normal((chain.shape[0], cfg.d)))
     _assert_unit_rows(X, "after initialization")
     trajectory = [X.copy()] if record_trajectory else None
     rows = []
     for t in range(cfg.n_epochs):
         eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
         # The normalizer first: the centred copies of its class moments
-        # are gone before P Y is made.
-        normalize = prepare(Y)
-        PY = chain._apply(Y)
-        p0Y = p0 @ Y
-        loss = _objective(X, PY, p0Y)
-        # The step writes the new rows over P Y.  Left unbound, the pull
+        # are gone before P X is made.
+        normalize = prepare(X)
+        PX = chain._apply(X)
+        p0X = p0 @ X
+        loss = _objective(X, PX, p0X)
+        # The step writes the new rows over P X.  Left unbound, the pull
         # and the rows of P'X it serves (one block buffer on a one-factor
         # chain, the whole product on any other) die with the step.
-        stepped, logz = _blocked_step(
-            X, normalize, _pull(chain, X, PY, p0Y, p0, keys), eta, f"after epoch {t}", PY
+        X, logz = _blocked_step(
+            X, normalize, _pull(chain, X, PX, p0X, p0), eta, f"after epoch {t}", PX
         )
         rows.append((t, eta, loss(logz)))
-        if keys:
-            gY = -chain._apply_transpose(X) + np.outer(p0, X.sum(axis=0))
-            Y = sphere_step(Y, gY, eta)
-            _assert_unit_rows(Y, f"after epoch {t} (keys)")
-        X = stepped
-        Y = Y if keys else X
         if trajectory is not None:
             trajectory.append(X.copy())
         if on_epoch is not None:
-            on_epoch(t, X, Y) if keys else on_epoch(t, X)
-    return X, Y, rows, trajectory
+            on_epoch(t, X)
+    return X, rows, trajectory
 
 
-def _resolve_labels(chain, cfg, p0, labels, keys) -> LabelVector:
-    """Key labels: given, trivial for kappa=1, or two-pass: the keys of a
+def _resolve_labels(chain, cfg, p0, labels) -> LabelVector:
+    """Key labels: given, trivial for kappa=1, or two-pass: the rows of a
     single-class run clustered into kappa classes."""
-    m = chain.shape[1]
-    check_kappa(cfg.kappa, m, "the key embedding")
+    n = chain.shape[0]
+    check_kappa(cfg.kappa, n, "the key embedding")
     if labels is None:
         if cfg.kappa == 1:
-            return _single_class(m)
-        single = partial(_key_mixture, _single_class(m))
-        warm = _descend(chain, replace(cfg, kappa=1), p0, single, keys)[1]
+            return _single_class(n)
+        single = partial(_key_mixture, _single_class(n))
+        warm = _descend(chain, replace(cfg, kappa=1), p0, single)[0]
         return kmeans_label(warm, cfg.kappa, seed=cfg.seed)
-    if labels.n != m:
-        raise DimensionError(f"{labels.n} labels for {m} rows")
+    if labels.n != n:
+        raise DimensionError(f"{labels.n} labels for {n} rows")
     if labels.kappa != cfg.kappa:
         raise ValidationError(
             f"label vector has kappa={labels.kappa}, config says {cfg.kappa}"
         )
     return labels
-
-
-def _fit_mixture(chain, cfg, p0, labels, keys, record_trajectory=False, on_epoch=None):
-    """Descend with the mixture normalizer and add the final log row."""
-    labels = _resolve_labels(chain, cfg, p0, labels, keys)
-    normalize = partial(_key_mixture, labels)
-    X, Y, rows, trajectory = _descend(chain, cfg, p0, normalize, keys, record_trajectory, on_epoch)
-    final = mixture_loss(X, chain, p0, _mixture_params(Y, labels), Y=Y)
-    rows.append((cfg.n_epochs, 0.0, final))
-    log = np.array([(t, eta, loss, np.nan) for t, eta, loss in rows])
-    Y = Y if keys else None
-    return FitResult(X=X, labels=labels, log=log, trajectory=trajectory, Y=Y)
 
 
 def fit(
@@ -426,8 +390,13 @@ def fit(
     and the optimization is rerun with them.  Deterministic given
     ``cfg.seed``; ``on_epoch(epoch, X)`` is invoked after every update.
     """
-    chain, p0 = _validated(P, p0, square="fit")
-    return _fit_mixture(chain, cfg, p0, labels, False, record_trajectory, on_epoch)
+    chain, p0 = _validated(P, p0, "fit")
+    labels = _resolve_labels(chain, cfg, p0, labels)
+    normalize = partial(_key_mixture, labels)
+    X, rows, trajectory = _descend(chain, cfg, p0, normalize, record_trajectory, on_epoch)
+    rows.append((cfg.n_epochs, 0.0, mixture_loss(X, chain, p0, _mixture_params(X, labels))))
+    log = np.array([(t, eta, loss, np.nan) for t, eta, loss in rows])
+    return FitResult(X=X, labels=labels, log=log, trajectory=trajectory)
 
 
 def fit_exact(
@@ -449,8 +418,8 @@ def fit_exact(
         raise ValidationError(
             f"fit_exact is O(n^2 d); refusing n={chain.shape[0]} > {_EXACT_SIZE_GUARD}"
         )
-    chain, p0 = _validated(chain, p0, square="fit_exact")
-    X, _, rows, trajectory = _descend(
+    chain, p0 = _validated(chain, p0, "fit_exact")
+    X, rows, trajectory = _descend(
         chain, cfg, p0, _exact_normalizer,
         record_trajectory=record_trajectory, on_epoch=on_epoch,
     )
@@ -459,21 +428,3 @@ def fit_exact(
     log = np.array([(t, eta, np.nan, loss) for t, eta, loss in rows])
     return FitResult(X=X, labels=labels, log=log, trajectory=trajectory)
 
-
-def fit_asymmetric(
-    P,
-    cfg: OptimizerConfig,
-    p0=None,
-    labels: LabelVector | None = None,
-    on_epoch=None,
-) -> FitResult:
-    """Optimize separate query and key embeddings for a rectangular operator.
-
-    The mixture parameters (and the label vector) live on the key side.
-    Under the frozen-moments gradient the key rows receive only the
-    affinity and regularization forces.  Both outputs keep unit rows;
-    the keys are returned as ``FitResult.Y``, and ``on_epoch(epoch, X,
-    Y)`` is invoked after every update.
-    """
-    chain, p0 = _validated(P, p0)
-    return _fit_mixture(chain, cfg, p0, labels, True, on_epoch=on_epoch)

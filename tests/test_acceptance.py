@@ -27,7 +27,7 @@ from edrep.graphs import (
     supra_adjacency,
     walk_operator,
 )
-from edrep.matstore import rescale_embedding, row_normalize
+from edrep.matstore import row_normalize, unit_rows
 from edrep.mixture import estimate_mixture, kmeans_label, singleton_mixture
 from edrep.optimizer import (
     OptimizerConfig,
@@ -74,7 +74,7 @@ def estimator_race():
         idx = comp == c
         mixing = rng.standard_normal((d, d)) / np.sqrt(d)
         Y[idx] = means[c] + 0.5 * rng.standard_normal((idx.sum(), d)) @ mixing
-    Y = rescale_embedding(Y, "unit-rows")
+    Y = unit_rows(Y)
     sample = rng.choice(n, size=1000, replace=False)
     X = Y[sample]
     z_exact = exact_z(X, Y)
@@ -120,7 +120,7 @@ def test_criterion_3_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
     n, d, h = 40, 6, 1e-5
     P = random_operator(n, 7)
-    X = rescale_embedding(rng.standard_normal((n, d)), "unit-rows")
+    X = unit_rows(rng.standard_normal((n, d)))
     p0 = rng.random(n)
     p0 /= p0.sum()
     params = estimate_mixture(X, kmeans_label(X, 3, seed=1))
@@ -137,7 +137,7 @@ def test_criterion_3_gradients_match_finite_differences():
     approx_err = float((np.abs(g - fd) / np.maximum(np.abs(fd), 1e-7)).max())
 
     n2 = 50
-    X2 = rescale_embedding(rng.standard_normal((n2, d)), "unit-rows")
+    X2 = unit_rows(rng.standard_normal((n2, d)))
     Y2 = X2.copy()
     term = softmax_weighted_term(X2, Y2)
 
@@ -164,7 +164,7 @@ def test_criterion_4_cross_entropy_form_equals_trace_form():
     for trial in range(20):
         n = int(rng.integers(5, 51))
         P = random_operator(n, 100 + trial)
-        X = rescale_embedding(rng.standard_normal((n, 5)), "unit-rows")
+        X = unit_rows(rng.standard_normal((n, 5)))
         p0 = rng.random(n)
         p0 /= p0.sum()
         dense = P.toarray()
@@ -310,7 +310,7 @@ def test_criterion_9_singleton_mixture_closes_the_loop():
     rng = np.random.default_rng(9)
     worst = 0.0
     for n in (10, 50, 100):
-        Y = rescale_embedding(rng.standard_normal((n, 8)), "unit-rows")
+        Y = unit_rows(rng.standard_normal((n, 8)))
         z_mix = approx_z(Y, singleton_mixture(Y))
         z_ex = exact_z(Y)
         worst = max(

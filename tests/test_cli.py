@@ -511,13 +511,20 @@ _GRID = ("--n", 600, "--theta-recipe", "unit", "--seeds", 1, "--epochs", 2, "--d
         ("dcsbm-bench", *_GRID, "--alphas", "nan"),
         ("fit", "--dim", 0),
         ("fit", "--epochs", 0),
+        ("fit", "--seed", -1),
+        ("dcsbm-bench", *_GRID, "--alphas", "1", "--seed", -1),
+        ("estimate-z", "--methods", "exact", "--seed", -1),
+        ("deviation", "--n", 200, "--seed", -1),
+        ("concentration", "--m-grid", 10, "--repeats", 2, "--seed", -1),
     ],
     ids=["deviation-kappa-zero", "dcsbm-alpha-negative", "dcsbm-window-zero",
          "estimate-z-features-zero", "estimate-z-kappa-zero", "estimate-z-no-method",
          "fit-checkpoint-negative", "fit-kappa-above-rows", "dcsbm-kappa-above-n",
          "deviation-kappa-above-n", "estimate-z-kappa-above-rows",
          "dcsbm-late-alpha-needs-negative-c-out", "dcsbm-c-nan", "dcsbm-c-inf",
-         "dcsbm-alpha-nan", "fit-dim-zero", "fit-epochs-zero"],
+         "dcsbm-alpha-nan", "fit-dim-zero", "fit-epochs-zero", "fit-seed-negative",
+         "dcsbm-seed-negative", "estimate-z-seed-negative", "deviation-seed-negative",
+         "concentration-seed-negative"],
 )
 def test_every_option_is_checked_before_any_work(
     argv, embedding_csv, operator_mtx, expensive_calls, tmp_path, capsys
@@ -526,6 +533,24 @@ def test_every_option_is_checked_before_any_work(
     out = tmp_path / "out"
     code = run(*argv, *inputs.get(argv[0], ()), "--out", out)
     assert code == EXIT_VALIDATION, capsys.readouterr().err
+    assert expensive_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+def test_negative_seed_from_env_or_config_fails_before_any_work(
+    source, expensive_calls, tmp_path, monkeypatch, capsys
+):
+    argv = ("deviation", "--n", 200)
+    if source == "env":
+        monkeypatch.setenv("EDREP_SEED", "-1")
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -1\n")
+        argv += ("--config", config)
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == EXIT_VALIDATION
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
     assert expensive_calls == []
     assert not out.exists()
 

@@ -18,10 +18,10 @@ from edrep.matstore import (
     ProductChain,
     as_chain,
     product_threads,
-    rescale_embedding,
     row_normalize,
     spmm,
     uniform_weights,
+    unit_rows,
     validate_regularization_weights,
 )
 
@@ -512,33 +512,22 @@ class TestAsDense:
 
 
 class TestRescaleEmbedding:
-    def test_average_norm_uniform_scaling(self):
-        X = np.array([[2.0, 0.0], [0.0, 2.0]])
-        out = rescale_embedding(X, "average-norm-one")
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), [1.0, 1.0], atol=1e-15)
-
     def test_unit_rows_idempotent(self):
         X = np.array([[1.0, 0.0], [0.6, 0.8]])
-        out = rescale_embedding(X, "unit-rows")
+        out = unit_rows(X)
         np.testing.assert_allclose(out, X, atol=1e-15)
 
     def test_postconditions_on_random_matrix(self):
         """Oracle: recompute the row norms of the rescaled output."""
         rng = np.random.default_rng(8)
         X = rng.standard_normal((100, 10)) * 3.0
-        avg = rescale_embedding(X, "average-norm-one")
-        assert abs(np.linalg.norm(avg, axis=1).mean() - 1.0) <= 1e-12
-        unit = rescale_embedding(X, "unit-rows")
+        unit = unit_rows(X)
         np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-12)
 
     def test_zero_row_error_lists_indices(self):
         X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match=r"\[1, 2\]"):
-            rescale_embedding(X, "unit-rows")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            rescale_embedding(np.eye(2), "whiten")
+            unit_rows(X)
 
 
 class TestRegularizationWeights:

@@ -18,9 +18,9 @@ from edrep.errors import DimensionError, NumericError, ValidationError
 from edrep.matstore import (
     ProductChain,
     as_chain,
-    rescale_embedding,
     row_normalize,
     uniform_weights,
+    unit_rows as normalize_rows,
 )
 from edrep.mixture import LabelVector, estimate_mixture, kmeans_label, singleton_mixture
 from edrep.optimizer import (
@@ -35,7 +35,6 @@ from edrep.optimizer import (
     approx_gradient,
     exact_loss,
     fit,
-    fit_asymmetric,
     fit_exact,
     mixture_loss,
     softmax_weighted_term,
@@ -59,7 +58,7 @@ def directed_graph(n, degree, seed):
 
 
 def unit_rows(rng, n, d):
-    return rescale_embedding(rng.standard_normal((n, d)), "unit-rows")
+    return normalize_rows(rng.standard_normal((n, d)))
 
 
 def reference_zeta(X, params):
@@ -102,41 +101,29 @@ def reference_attention_term(X, Y):
     return term
 
 
-def reference_fit(P, cfg, labels=None, keys=False, exact=False):
+def reference_fit(P, cfg, labels=None, exact=False):
     """Oracle: the unfused epoch loop, every stage on whole matrices, with
-    uniform p0.  Returns the trajectory of X (and of Y with ``keys``)."""
+    uniform p0.  Returns the trajectory of X."""
     chain = as_chain(P)
-    n, m = chain.shape
-    p0 = uniform_weights(m)
-    labels = labels or LabelVector(np.ones(m, dtype=np.int64), 1)
+    n = chain.shape[0]
+    p0 = uniform_weights(n)
+    labels = labels or LabelVector(np.ones(n, dtype=np.int64), 1)
     rng = np.random.default_rng(cfg.seed)
     X = rng.standard_normal((n, cfg.d))
     X /= np.linalg.norm(X, axis=1)[:, None]
-    Y = X
-    if keys:
-        Y = rng.standard_normal((m, cfg.d))
-        Y /= np.linalg.norm(Y, axis=1)[:, None]
-    xs, ys = [X], [Y]
+    xs = [X]
     for t in range(cfg.n_epochs):
         eta = cfg.eta0 * (1.0 - t / cfg.n_epochs)
         if exact:
-            g = reference_attention_term(X, Y)
+            g = reference_attention_term(X, X)
         else:
-            params = estimate_mixture(Y, labels)
+            params = estimate_mixture(X, labels)
             g = reference_mixture_term(X, reference_zeta(X, params), params)
-        PY = chain.apply(Y)
-        if keys:
-            g += -PY + np.broadcast_to(p0 @ Y, X.shape)
-            gY = -chain.apply_transpose(X) + np.outer(p0, X.sum(axis=0))
-            Y = sphere_step(Y, gY, eta)
-        else:
-            reg = np.broadcast_to(p0 @ X, X.shape) + np.outer(p0, X.sum(axis=0))
-            g += -(PY + chain.apply_transpose(X)) + reg
+        reg = np.broadcast_to(p0 @ X, X.shape) + np.outer(p0, X.sum(axis=0))
+        g += -(chain.apply(X) + chain.apply_transpose(X)) + reg
         X = sphere_step(X, g, eta)
-        Y = Y if keys else X
         xs.append(X)
-        ys.append(Y)
-    return (xs, ys) if keys else xs
+    return xs
 
 
 def raw_objective(X, P, p0):
@@ -256,12 +243,6 @@ class TestApproxGradient:
 
 
 class TestSphereStep:
-    def test_zero_rate_returns_input_unchanged(self):
-        rng = np.random.default_rng(6)
-        X = unit_rows(rng, 10, 4)
-        g = rng.standard_normal((10, 4))
-        np.testing.assert_array_equal(sphere_step(X, g, 0.0), X)
-
     def test_full_rate_jumps_to_negative_unit_tangent(self):
         rng = np.random.default_rng(7)
         X = unit_rows(rng, 8, 3)
@@ -320,10 +301,18 @@ class TestSphereStep:
         with np.errstate(all="raise"):
             assert sphere_step(X, g, eta).tobytes() == expected.tobytes()
 
+    def test_zero_rate_rejected(self):
+        """The rate lies in (0, 1]: the schedule never reaches 0, so a zero
+        rate is rejected rather than copied through."""
+        X = np.array([[1.0, 0.0]])
+        with pytest.raises(ValidationError, match="eta must lie in"):
+            sphere_step(X, X, 0.0)
+
     def test_rate_outside_unit_interval_rejected(self):
         X = np.array([[1.0, 0.0]])
-        with pytest.raises(ValidationError):
-            sphere_step(X, X, 1.5)
+        for eta in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValidationError, match="eta must lie in"):
+                sphere_step(X, X, eta)
 
     def test_gradient_shape_must_match(self):
         X = np.array([[1.0, 0.0]])
@@ -393,7 +382,6 @@ class TestFit:
         params = estimate_mixture(result.X, result.labels)
         assert result.log[-1, 2] == mixture_loss(result.X, P, p0, params)
         assert np.isnan(result.log[:, 3]).all()
-        assert result.Y is None
 
     def test_every_log_row_equals_mixture_loss_of_its_iterate(self):
         """The loop logs the same objective that ``mixture_loss`` computes:
@@ -434,14 +422,13 @@ class TestFit:
         with pytest.raises(ValidationError, match="kappa"):
             fit(P, cfg, labels=labels)
 
-    @pytest.mark.parametrize("run", [fit, fit_asymmetric])
-    def test_kappa_above_key_rows_fails_before_the_warm_pass(self, run, monkeypatch):
+    def test_kappa_above_key_rows_fails_before_the_warm_pass(self, monkeypatch):
         steps = []
         monkeypatch.setattr(edrep.optimizer, "sphere_step", lambda *a: steps.append(a))
         cfg = OptimizerConfig(d=3, n_epochs=2, kappa=31)
         match = "kappa=31 must lie between 1 and the 30 rows of the key embedding"
         with pytest.raises(ValidationError, match=match):
-            run(random_operator(30, 26), cfg)
+            fit(random_operator(30, 26), cfg)
         assert steps == []
 
     def test_zeta_row_sums_consistent_with_estimate(self):
@@ -465,8 +452,24 @@ class TestFit:
 
     def test_rectangular_operator_rejected(self):
         P = row_normalize(sp.csr_matrix(np.ones((6, 4))))
-        with pytest.raises(ValidationError, match="fit needs a square operator"):
-            fit(P, OptimizerConfig(d=2))
+        for run in (fit, fit_exact):
+            with pytest.raises(ValidationError, match=f"{run.__name__} needs a square operator"):
+                run(P, OptimizerConfig(d=2))
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_losses_reject_queries_that_do_not_match_the_operator(self, rows):
+        rng = np.random.default_rng(18)
+        P = random_operator(6, 38)
+        X = unit_rows(rng, 6, 3)
+        p0 = uniform_weights(6)
+        params = estimate_mixture(X, LabelVector(np.ones(6, dtype=np.int64), 1))
+        X = X[:rows]
+        with pytest.raises(DimensionError, match="operator shape"):
+            exact_loss(X, P, p0)
+        with pytest.raises(DimensionError, match="operator shape"):
+            mixture_loss(X, P, p0, params)
+        with pytest.raises(DimensionError, match="operator shape"):
+            approx_gradient(X, P, p0, params)
 
     def test_label_count_must_match_key_rows(self):
         labels = LabelVector(np.tile([1, 2], 10), 2)
@@ -676,116 +679,6 @@ class TestFitExact:
         fit_exact(P, replace(cfg, n_epochs=1))  # small sizes pass
 
 
-class TestFitAsymmetric:
-    def rect_operator(self, n, m, seed):
-        eye = sp.csr_matrix(
-            (np.ones(min(n, m)), (range(min(n, m)), range(min(n, m)))), shape=(n, m)
-        )
-        return row_normalize(
-            sp.random(n, m, density=0.4, random_state=seed, format="csr") + eye
-        )
-
-    def test_objective_specializes_to_symmetric_loss(self):
-        rng = np.random.default_rng(14)
-        n = 20
-        P = random_operator(n, 31)
-        X = unit_rows(rng, n, 4)
-        p0 = rng.random(n)
-        p0 /= p0.sum()
-        assert exact_loss(X, P, p0, Y=X) == exact_loss(X, P, p0)
-        params = estimate_mixture(X, kmeans_label(X, 2, seed=0))
-        assert mixture_loss(X, P, p0, params, Y=X) == mixture_loss(X, P, p0, params)
-
-    @pytest.mark.parametrize("rows", [1, 2])
-    def test_losses_reject_queries_that_do_not_match_the_operator(self, rows):
-        rng = np.random.default_rng(18)
-        P = random_operator(6, 38)
-        Y = unit_rows(rng, 6, 3)
-        X = Y[:rows]
-        p0 = uniform_weights(6)
-        params = estimate_mixture(Y, LabelVector(np.ones(6, dtype=np.int64), 1))
-        with pytest.raises(DimensionError, match="operator shape"):
-            exact_loss(X, P, p0, Y=Y)
-        with pytest.raises(DimensionError, match="operator shape"):
-            mixture_loss(X, P, p0, params, Y=Y)
-
-    def test_both_outputs_unit_rows(self):
-        P = self.rect_operator(60, 40, 32)
-        cfg = OptimizerConfig(d=6, eta0=0.7, n_epochs=6, seed=8)
-        result = fit_asymmetric(P, cfg)
-        np.testing.assert_allclose(np.linalg.norm(result.X, axis=1), 1.0, atol=1e-10)
-        np.testing.assert_allclose(np.linalg.norm(result.Y, axis=1), 1.0, atol=1e-10)
-
-    def test_gradients_match_finite_differences_on_both_blocks(self):
-        """Oracle: central differences of the asymmetric mixture objective
-        in the query block and in the key block (moments frozen)."""
-        rng = np.random.default_rng(15)
-        n, m, d = 25, 18, 5
-        P = self.rect_operator(n, m, 33)
-        X = unit_rows(rng, n, d)
-        Y = unit_rows(rng, m, d)
-        p0 = rng.random(m)
-        p0 /= p0.sum()
-        params = estimate_mixture(Y, kmeans_label(Y, 2, seed=0))
-
-        chain = as_chain(P)
-        zeta = reference_zeta(X, params)
-        gX = (
-            -chain.apply(Y)
-            + np.broadcast_to(p0 @ Y, X.shape)
-            + reference_mixture_term(X, zeta, params)
-        )
-        gY = -chain.apply_transpose(X) + np.outer(p0, X.sum(axis=0))
-
-        h = 1e-5
-        fdX = np.zeros_like(X)
-        for i in range(n):
-            for q in range(d):
-                up, down = X.copy(), X.copy()
-                up[i, q] += h
-                down[i, q] -= h
-                fdX[i, q] = (
-                    mixture_loss(up, P, p0, params, Y=Y)
-                    - mixture_loss(down, P, p0, params, Y=Y)
-                ) / (2 * h)
-        fdY = np.zeros_like(Y)
-        for a in range(m):
-            for q in range(d):
-                up, down = Y.copy(), Y.copy()
-                up[a, q] += h
-                down[a, q] -= h
-                fdY[a, q] = (
-                    mixture_loss(X, P, p0, params, Y=up)
-                    - mixture_loss(X, P, p0, params, Y=down)
-                ) / (2 * h)
-        assert (np.abs(gX - fdX) / np.maximum(np.abs(fdX), 1e-7)).max() < 1e-4
-        assert (np.abs(gY - fdY) / np.maximum(np.abs(fdY), 1e-7)).max() < 1e-4
-
-    def test_two_pass_validates_the_operator_once(self, validation_calls):
-        P = self.rect_operator(30, 20, 35)
-        fit_asymmetric(P, OptimizerConfig(d=4, n_epochs=2, kappa=2, seed=1))
-        assert len(validation_calls) == 1
-
-    def test_two_pass_equals_explicit_warm_run_then_labels(self):
-        """Oracle: the two-pass workflow spelled out with public calls."""
-        P = self.rect_operator(50, 35, 36)
-        cfg = OptimizerConfig(d=5, eta0=0.7, n_epochs=5, kappa=3, seed=4)
-        warm = fit_asymmetric(P, replace(cfg, kappa=1)).Y
-        expected = fit_asymmetric(P, cfg, labels=kmeans_label(warm, 3, seed=cfg.seed))
-        result = fit_asymmetric(P, cfg)
-        np.testing.assert_array_equal(result.labels.labels, expected.labels.labels)
-        assert result.X.tobytes() == expected.X.tobytes()
-        assert result.Y.tobytes() == expected.Y.tobytes()
-        assert result.log.tobytes() == expected.log.tobytes()
-
-    def test_final_log_row_equals_mixture_loss(self):
-        P = self.rect_operator(40, 25, 37)
-        result = fit_asymmetric(P, OptimizerConfig(d=4, n_epochs=3, kappa=2, seed=3))
-        params = estimate_mixture(result.Y, result.labels)
-        p0 = uniform_weights(25)
-        assert result.log[-1, 2] == mixture_loss(result.X, P, p0, params, Y=result.Y)
-
-
 def labels_with_singletons(n, kappa, singletons, rng):
     """Labels in 1..kappa, shuffled, where classes 1..singletons hold one
     row each (zero covariance) and every class is nonempty."""
@@ -926,19 +819,4 @@ class TestIteratesMatchUnfusedLoop:
         for _, P, cfg in self.cases():
             got = fit_exact(P, cfg, record_trajectory=True).trajectory
             worst = max(worst, self.worst(got, reference_fit(P, cfg, exact=True)))
-        assert worst <= 1e-12
-
-    def test_fit_asymmetric(self):
-        worst = 0.0
-        for n, P, cfg in self.cases():
-            labels = LabelVector(np.arange(n) % 2 + 1, 2)
-            seen = []
-            result = fit_asymmetric(
-                P, replace(cfg, kappa=2), labels=labels,
-                on_epoch=lambda t, X, Y: seen.append((X.copy(), Y.copy())),
-            )
-            xs, ys = reference_fit(P, cfg, labels, keys=True)
-            worst = max(worst, self.worst([x for x, _ in seen], xs[1:]))
-            worst = max(worst, self.worst([y for _, y in seen], ys[1:]))
-            worst = max(worst, self.worst([result.X, result.Y], [xs[-1], ys[-1]]))
         assert worst <= 1e-12

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from edrep import znorm
 from edrep.errors import DimensionError, NumericError, ValidationError
-from edrep.matstore import as_dense, rescale_embedding
+from edrep.matstore import as_dense, unit_rows
 from edrep.mixture import (
     LabelVector,
     MixtureParams,
@@ -111,7 +111,7 @@ class TestExactZ:
     def test_self_term_contributes_its_own_exponential(self):
         """Without keys the sum runs over X itself, the a = i term included."""
         rng = np.random.default_rng(3)
-        X = rescale_embedding(rng.standard_normal((300, 6)), "unit-rows")
+        X = unit_rows(rng.standard_normal((300, 6)))
         assert exact_z(X).values.tobytes() == exact_z(X, X.copy()).values.tobytes()
 
     def test_overflow_guard_advises_rescaling(self):
@@ -167,7 +167,7 @@ class TestApproxZ:
         comp = rng.integers(0, 2, m)
         mixing = np.eye(d) + 0.5 * rng.standard_normal((d, d)) / np.sqrt(d)
         Y = means[comp] + 0.3 * rng.standard_normal((m, d)) / np.sqrt(d) @ mixing
-        X = rescale_embedding(rng.standard_normal((1000, d)), "unit-rows")
+        X = unit_rows(rng.standard_normal((1000, d)))
         params = estimate_mixture(Y, LabelVector(comp + 1, 2))
         ze = exact_z(X, Y)
         za = approx_z(X, params)
@@ -176,7 +176,7 @@ class TestApproxZ:
 
     def test_singleton_mixture_reproduces_exact(self):
         rng = np.random.default_rng(6)
-        Y = rescale_embedding(rng.standard_normal((80, 7)), "unit-rows")
+        Y = unit_rows(rng.standard_normal((80, 7)))
         z_mix = approx_z(Y, singleton_mixture(Y))
         z_ex = exact_z(Y)
         np.testing.assert_allclose(z_mix.values, z_ex.values, rtol=1e-9)
@@ -225,7 +225,7 @@ class TestKernelZ:
         """Oracle: exact_z; Monte-Carlo error must drop when the feature
         count is multiplied by 100."""
         rng = np.random.default_rng(8)
-        X = rescale_embedding(rng.standard_normal((50, 8)), "unit-rows")
+        X = unit_rows(rng.standard_normal((50, 8)))
         ze = exact_z(X, X)
 
         def median_err(D, seed):
@@ -239,7 +239,7 @@ class TestKernelZ:
 
     def test_baseline_feature_count_runs(self):
         rng = np.random.default_rng(9)
-        X = rescale_embedding(rng.standard_normal((20, 6)), "unit-rows")
+        X = unit_rows(rng.standard_normal((20, 6)))
         fmap = KernelFeatureMap.from_seed(6, 1000, 1)
         for variant in ("performer", "rfa"):
             z = kernel_z(X, X, fmap, variant)
@@ -318,7 +318,7 @@ class TestKernelZ:
         per-block |v|^2 product of the key rows."""
         monkeypatch.setattr(znorm, "product_threads", lambda: threads)
         rng = np.random.default_rng(12)
-        Y = rescale_embedding(rng.standard_normal((8192, 64)), "unit-rows")
+        Y = unit_rows(rng.standard_normal((8192, 64)))
         X = Y[:1000].copy()
         fmap = KernelFeatureMap.from_seed(64, 512, 1)
         kernel_z(X, Y, fmap, variant)  # starts the pool outside the trace
@@ -448,7 +448,7 @@ def misaligned_unit_rows(n, d, seed):
     """Random unit rows in a writable view that starts 4 bytes into its
     buffer, as a view of a file's bytes after a 20-byte header does."""
     view = np.frombuffer(bytearray(8 * n * d + 4), "<f8", offset=4).reshape(n, d)
-    view[:] = rescale_embedding(np.random.default_rng(seed).standard_normal((n, d)), "unit-rows")
+    view[:] = unit_rows(np.random.default_rng(seed).standard_normal((n, d)))
     return view
 
 
