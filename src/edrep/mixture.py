@@ -20,6 +20,8 @@ PSD_EIG_TOL = -1e-8
 
 #: Lloyd iterations per k-means restart, if the labels keep changing.
 _MAX_ITER = 100
+#: Rows per block of the squared row norms that k-means computes.
+_NORM_BLOCK = 4096
 
 
 def check_kappa(kappa: int, rows: int, what: str) -> None:
@@ -178,10 +180,17 @@ def kmeans_label(Y: np.ndarray, kappa: int, seed: int, restarts: int = 1) -> Lab
     if kappa == 1:
         return LabelVector(np.ones(n, dtype=np.int64), 1)
     rng = np.random.default_rng(seed)
-    sq_norms = np.sum(Y * Y, axis=1)
+    # Per block of rows, so no Y-sized Y * Y; each row's sum keeps its bits.
+    sq_norms = np.empty(n)
+    for lo in range(0, n, _NORM_BLOCK):
+        b = Y[lo : lo + _NORM_BLOCK]
+        np.sum(b * b, axis=1, out=sq_norms[lo : lo + _NORM_BLOCK])
     best_labels, best_inertia = None, np.inf
     for _ in range(restarts):
-        labels, inertia = _lloyd(Y, sq_norms, kappa, rng)
+        labels, centers = _lloyd(Y, sq_norms, kappa, rng)
+        # Only a comparison of restarts reads the within-cluster sum of
+        # squares, and it takes three Y-sized temporaries.
+        inertia = float(np.sum((Y - centers[labels]) ** 2)) if restarts > 1 else 0.0
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return LabelVector(best_labels + 1, kappa)
@@ -252,5 +261,4 @@ def _lloyd(Y, sq_norms, k, rng):
         # The centers always belong to the final labels: a converged
         # iteration leaves both unchanged.
         centers = _class_means(Y, labels, k)
-    inertia = float(np.sum((Y - centers[labels]) ** 2))
-    return labels, inertia
+    return labels, centers

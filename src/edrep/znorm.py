@@ -26,8 +26,14 @@ EXP_GUARD = 700.0
 #: instance one score buffer takes 39 MiB with 256 rows and 156 MiB with 1024.
 _BLOCK_ROWS = 256
 #: Key rows per feature block of :func:`kernel_z`.  The key feature mass
-#: is summed block by block, so another size changes its last bits.
+#: is summed block by block, so this size fixes its last bits.
 _FEATURE_BLOCK = 4096
+#: Bytes of key features that :func:`kernel_z` holds at once.  A block is
+#: computed in sub-blocks of at most this size, each summed onto the
+#: first row of the next; they set the memory, not the bits.  At least
+#: 8 * _FEATURE_BLOCK, so a one-column map, whose block numpy sums
+#: pairwise rather than row after row, is never split.
+_FEATURE_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -253,14 +259,15 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     whose signed sums are clamped to a positive floor when they fail to
     be positive; clamped rows are reported in the estimate).
 
-    Every key block is written into one feature buffer per call, which
-    the query features reuse when they fit.  Projections and the
-    performer's passes run in the calling thread; the rfa passes run in
-    place on row ranges split on the product pool, and give the same bits
-    at any thread count.
+    The keys' features are written, one sub-block of at most
+    ``_FEATURE_BYTES`` at a time, into one buffer per call, which the
+    query features reuse when they fit; the key side holds that buffer
+    however many keys there are.  Projections and the performer's passes
+    run in the calling thread; the rfa passes run in place on row ranges
+    split on the product pool, and give the same bits at any thread count.
     """
     X = as_dense(X, name="X")
-    Y = X if Y is None or Y is X else as_dense(Y, name="Y")
+    Y = X if Y is X else as_dense(Y, name="Y")
     if X.shape[1] != fmap.W.shape[1] or Y.shape[1] != fmap.W.shape[1]:
         raise DimensionError(
             f"feature map expects d={fmap.W.shape[1]}, got X d={X.shape[1]}, Y d={Y.shape[1]}"
@@ -270,15 +277,25 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     rfa = variant == "rfa"
 
     width = 2 * fmap.D if rfa else fmap.D
-    buf = np.empty((min(_FEATURE_BLOCK, Y.shape[0]), width))
+    rows = min(_FEATURE_BLOCK, max(1, _FEATURE_BYTES // (8 * width)))
+    buf = np.empty((min(rows, Y.shape[0]), width))
     mass = np.zeros(width)
     for start in range(0, Y.shape[0], _FEATURE_BLOCK):
-        block = Y[start : start + _FEATURE_BLOCK]
-        if rfa:
-            phi = _rfa_features(block, fmap.W, buf, _exp_half_sq(block))
-        else:
-            phi = _performer_features(block, fmap.W, buf)
-        mass += phi.sum(axis=0)
+        stop = min(start + _FEATURE_BLOCK, Y.shape[0])
+        carry = None
+        for lo in range(start, stop, rows):
+            sub = Y[lo : min(lo + rows, stop)]
+            if rfa:
+                phi = _rfa_features(sub, fmap.W, buf, _exp_half_sq(sub))
+            else:
+                phi = _performer_features(sub, fmap.W, buf)
+            # numpy sums a C-contiguous block of two or more columns row
+            # after row, so carrying the sum so far onto the first row
+            # gives the whole block's phi.sum(axis=0), bit for bit.
+            if carry is not None:
+                phi[0] += carry
+            carry = phi.sum(axis=0)
+        mass += carry
 
     if X.shape[0] > buf.shape[0]:
         buf = np.empty((X.shape[0], width))

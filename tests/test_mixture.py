@@ -1,6 +1,7 @@
 """Clustering labels and per-class moment estimation."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -174,6 +175,21 @@ class TestKmeansLabel:
         with pytest.raises(ValidationError):
             kmeans_label(Y, 0, seed=0)
 
+    def test_one_restart_holds_less_than_one_y_sized_array(self):
+        """The squared row norms are summed per 4096-row block, and a single
+        restart computes no within-cluster sum of squares: before both,
+        this took 2.08 Y-sized arrays."""
+        rng = np.random.default_rng(0)
+        centers = rng.standard_normal((5, 100)) * 3
+        Y = centers[rng.integers(5, size=20000)] + rng.standard_normal((20000, 100))
+        tracemalloc.start()
+        try:
+            kmeans_label(Y, 5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Y.nbytes
+
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_restarts_must_be_positive(self, restarts):
         Y = np.arange(8.0).reshape(4, 2)
@@ -244,6 +260,15 @@ class TestKmeansOracle:
 
     def test_larger_instance_with_restarts(self):
         Y = clustered_rows(3000, 8, 20, 4)
+        for kappa, restarts in ((5, 1), (8, 3)):
+            np.testing.assert_array_equal(
+                kmeans_label(Y, kappa, seed=kappa, restarts=restarts).labels,
+                reference_kmeans(Y, kappa, kappa, restarts=restarts),
+            )
+
+    def test_row_norms_past_one_block(self):
+        """At n = 9000 the squared row norms span three 4096-row blocks."""
+        Y = clustered_rows(9000, 8, 20, 5)
         for kappa, restarts in ((5, 1), (8, 3)):
             np.testing.assert_array_equal(
                 kmeans_label(Y, kappa, seed=kappa, restarts=restarts).labels,

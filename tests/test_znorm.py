@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edrep import znorm
@@ -263,18 +263,28 @@ class TestKernelZ:
         np.testing.assert_array_equal(a.W, b.W)
         assert a.D == 64
 
-    @settings(max_examples=30)
+    @settings(max_examples=40)
     @given(
-        m=st.sampled_from([1, 255, 4097, 9000]),
+        m=st.sampled_from([1, 255, 1025, 2049, 3000, 4097, 9000]),
         n=st.sampled_from([1, 3, 300]),
         d=st.integers(1, 6),
         D=st.integers(1, 40),
         scale=st.sampled_from([0.1, 1.0, 3.0]),
         seed=st.integers(0, 2**16),
+        budget=st.sampled_from([None, 8 * 4096, 8 * 8192]),
     )
-    def test_bitwise_equal_to_allocating_reference(self, m, n, d, D, scale, seed):
-        """Key counts cross the 4096-row block edge and the row split;
-        queries outgrow the key buffer when m is small."""
+    @example(m=9000, n=300, d=3, D=1, scale=1.0, seed=1, budget=8 * 4096)
+    @example(m=9000, n=300, d=3, D=2, scale=1.0, seed=2, budget=8 * 4096)
+    @example(m=2049, n=3, d=4, D=1024, scale=1.0, seed=3, budget=None)
+    @example(m=3000, n=3, d=4, D=1024, scale=1.0, seed=4, budget=None)
+    @example(m=9000, n=3, d=4, D=1024, scale=1.0, seed=5, budget=None)
+    def test_bitwise_equal_to_allocating_reference(self, m, n, d, D, scale, seed, budget):
+        """Key counts cross the 4096-row block edge, the sub-block edges
+        inside a block and the row split; queries outgrow the key buffer
+        when m is small.  The smallest budgets split every block of two or
+        more columns (2048 rows at width 2) and keep a one-column block,
+        which numpy sums pairwise, whole; at D = 1024 the real budget cuts
+        2048-row performer and 1024-row rfa sub-blocks."""
         rng = np.random.default_rng(seed)
         Y = rng.standard_normal((m, d)) * scale / np.sqrt(d)
         X = rng.standard_normal((n, d)) * scale / np.sqrt(d)
@@ -284,6 +294,8 @@ class TestKernelZ:
         for threads in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(znorm, "product_threads", lambda: threads)
+                if budget is not None:
+                    mp.setattr(znorm, "_FEATURE_BYTES", budget)
                 for variant, (values, clamped) in expected.items():
                     z = kernel_z(X, Y, fmap, variant)
                     assert z.values.tobytes() == values.tobytes()
@@ -307,35 +319,69 @@ class TestKernelZ:
             with pytest.raises(NumericError, match="rescale"):
                 kernel_z(X, Y, fmap, "performer")
 
-    # tracemalloc peaks of kernel_z on this instance before the feature
-    # buffer: 50.4 MB for performer (3.0 feature blocks) and 117.5 MB for
-    # rfa (3.5 blocks); with it, one block plus 2.1 MB (numpy 2.4.6).
+    # tracemalloc peaks of kernel_z on this instance with one 4096-row
+    # feature block at a time: 34.1 MB for performer and 67.7 MB for rfa;
+    # with budgeted sub-blocks, 16 MiB plus 0.3 MB for either (numpy 2.4.6).
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("variant", ["performer", "rfa"])
     def test_peak_memory_is_one_feature_block(self, variant, threads, monkeypatch):
-        """The projection is written into the feature buffer and the
-        passes run in place, so the only other large array is the
-        per-block |v|^2 product of the key rows."""
+        """The projection is written into the budgeted feature buffer and
+        the passes run in place, so the only other large array is the
+        per-sub-block |v|^2 product of the key rows; four times the keys
+        take no more memory."""
         monkeypatch.setattr(znorm, "product_threads", lambda: threads)
         rng = np.random.default_rng(12)
-        Y = unit_rows(rng.standard_normal((8192, 64)))
-        X = Y[:1000].copy()
-        fmap = KernelFeatureMap.from_seed(64, 512, 1)
-        kernel_z(X, Y, fmap, variant)  # starts the pool outside the trace
+        d = 16
+        fmap = KernelFeatureMap.from_seed(d, 1024, 1)
         width = 2 * fmap.D if variant == "rfa" else fmap.D
-        block = 4096 * width * 8
-        tracemalloc.start()
-        try:
-            kernel_z(X, Y, fmap, variant)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= block + 4096 * 64 * 8 + 256 * 1024
+        rows = znorm._FEATURE_BYTES // (8 * width)
+        assert rows < znorm._FEATURE_BLOCK
+        peaks = []
+        for m in (8192, 32768):
+            Y = unit_rows(rng.standard_normal((m, d)))
+            X = Y[:1000].copy()
+            kernel_z(X, Y, fmap, variant)  # starts the pool outside the trace
+            tracemalloc.start()
+            try:
+                kernel_z(X, Y, fmap, variant)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= rows * width * 8 + rows * d * 8 + 256 * 1024
+        assert peaks[1] <= peaks[0] + 4096
 
     def test_unknown_variant_rejected(self):
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
         with pytest.raises(ValidationError):
             kernel_z(np.zeros((2, 3)), np.zeros((2, 3)), fmap, "nystrom")
+
+
+class TestCarriedColumnSum:
+    """The numpy property behind ``kernel_z``'s sub-blocks: a C-contiguous
+    block of two or more columns is summed along axis 0 one row after
+    another, so the sum of each sub-block, carried onto the first row of
+    the next, ends as the whole block's sum bit for bit.  A numpy whose
+    axis-0 reduction sums in another order fails here first."""
+
+    @pytest.mark.parametrize("width", range(2, 65))
+    def test_numpy_sums_axis_0_row_after_row(self, width):
+        rng = np.random.default_rng(width)
+        block = np.exp(3.0 * rng.standard_normal((4096, width)))
+        expected = block.sum(axis=0).tobytes()
+        for rows in (1, 3, 1000, 1365, 2048):
+            buf = np.empty((rows, width))
+            carry = None
+            for lo in range(0, 4096, rows):
+                sub = buf[: min(rows, 4096 - lo)]
+                sub[:] = block[lo : lo + rows]
+                if carry is not None:
+                    sub[0] += carry
+                carry = sub.sum(axis=0)
+            assert carry.tobytes() == expected, f"{rows}-row sub-blocks"
+
+    def test_one_column_blocks_are_never_split(self):
+        # numpy sums a one-column block pairwise, where the carry is not exact.
+        assert znorm._FEATURE_BYTES // 8 >= znorm._FEATURE_BLOCK
 
 
 class TestInputChecks:
@@ -351,6 +397,11 @@ class TestInputChecks:
     def test_z_estimate_values_checked(self, values, error, match):
         with pytest.raises(error, match=match):
             ZEstimate(values, "exact")
+
+    def test_kernel_z_requires_keys(self):
+        fmap = KernelFeatureMap.from_seed(3, 8, 0)
+        with pytest.raises(ValidationError, match="2-dimensional"):
+            kernel_z(np.zeros((2, 3)), None, fmap, "performer")
 
     def test_kernel_z_checks_the_map_dimension(self):
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
