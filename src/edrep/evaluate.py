@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .graphs import DcsbmInstance, DcsbmParams, _affinities, dcsbm_sample, walk_operator
+from .matstore import as_dense
 from .mixture import check_kappa, kmeans_label
 from .optimizer import OptimizerConfig, fit
 
@@ -61,12 +62,14 @@ def deviation_ct(X_traj, Y_traj) -> np.ndarray:
         )
     out = np.empty(len(X_traj))
     for t, (X, Y) in enumerate(zip(X_traj, Y_traj)):
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
+        X = as_dense(X, name=f"epoch {t} iterate of X_traj")
+        Y = as_dense(Y, name=f"epoch {t} iterate of Y_traj")
         if X.shape != Y.shape:
             raise DimensionError(
                 f"epoch {t}: shapes {X.shape} and {Y.shape} differ"
             )
+        if X.shape[0] == 0:
+            raise ValidationError(f"epoch {t}: iterates have no rows")
         gxx = np.sum((X.T @ X) ** 2)
         gyy = np.sum((Y.T @ Y) ** 2)
         gxy = np.sum((Y.T @ X) ** 2)

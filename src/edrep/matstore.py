@@ -14,9 +14,7 @@ thread count.  Transposed products use an explicit CSR transpose of each
 distinct factor, built on the first call and cached on the chain, so
 they split by rows too.  A one-factor chain also serves P'X a row range
 at a time from that transpose, so the epoch loop of a fit holds one
-block of it, never the whole n x d product.  The rfa feature map of
-``znorm`` runs its elementwise passes on the same pool, through the same
-range runner.
+block of it, never the whole n x d product.
 """
 
 from __future__ import annotations
@@ -134,8 +132,6 @@ def _run_ranges(fn, cuts) -> list:
     first error of a range, only after every range has finished, so no
     range still writes to its output once the caller sees the error.
     """
-    if len(cuts) == 2:
-        return [fn(*cuts)]
     ranges = list(zip(cuts[:-1], cuts[1:]))
     pool = _executor()
     futures = [pool.submit(fn, a, b) for a, b in ranges[:-1]]

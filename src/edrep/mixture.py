@@ -88,6 +88,9 @@ class MixtureParams:
             raise ValidationError("mixture parameter shapes disagree")
         if self.m < 1:
             raise ValidationError("mixture source count m must be positive")
+        for name, arr in (("pi", pi), ("mu", mu), ("omega", omega)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"mixture parameter {name} contains non-finite entries")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValidationError("class fractions must be nonnegative and sum to 1")
         # An all-zero covariance (a singleton class) is symmetric PSD as it

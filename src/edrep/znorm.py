@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .matstore import _run_ranges, as_dense, product_threads
+from .matstore import as_dense
 from .mixture import MixtureParams
 
 #: Scalar products beyond this magnitude would push exp() against the
@@ -114,6 +114,16 @@ def _score_blocks(Y: np.ndarray, rows: int):
     return blocks
 
 
+def _operands(X, Y):
+    """The queries X and the keys Y as checked dense arrays, Y being X
+    itself when passed as X; Z sums over the keys, so Y needs a row."""
+    X = as_dense(X, name="X")
+    Y = X if Y is X else as_dense(Y, name="Y")
+    if Y.shape[0] == 0:
+        raise ValidationError("Y has no rows; Z sums over at least one key")
+    return X, Y
+
+
 def exact_z(X: np.ndarray, Y: np.ndarray | None = None) -> ZEstimate:
     """Exact normalization constants Z_i = sum_a exp(x_i . y_a).
 
@@ -121,8 +131,7 @@ def exact_z(X: np.ndarray, Y: np.ndarray | None = None) -> ZEstimate:
     a = i term included.  Row sums use compensated accumulation; cost
     O(d n m).
     """
-    X = as_dense(X, name="X")
-    Y = X if Y is None or Y is X else as_dense(Y, name="Y")
+    X, Y = _operands(X, X if Y is None else Y)
     if X.shape[1] != Y.shape[1]:
         raise DimensionError(
             f"inner dimensions differ: X has d={X.shape[1]}, Y has d={Y.shape[1]}"
@@ -187,6 +196,12 @@ class KernelFeatureMap:
 
     W: np.ndarray  # (D, d) standard-normal entries
 
+    def __post_init__(self):
+        W = as_dense(self.W, name="feature map W")
+        object.__setattr__(self, "W", W)
+        if 0 in W.shape:
+            raise ValidationError(f"feature map W must have rows and columns, got shape {W.shape}")
+
     @property
     def D(self) -> int:
         return self.W.shape[0]
@@ -196,13 +211,6 @@ class KernelFeatureMap:
         if n_features < 1 or d < 1:
             raise ValidationError("feature map dimensions must be positive")
         return cls(W=np.random.default_rng(seed).standard_normal((n_features, d)))
-
-
-def _split_rows(fn, n: int) -> None:
-    """``fn(a, b)`` over ``product_threads()`` even ranges of ``n`` rows,
-    on the product pool."""
-    threads = product_threads()
-    _run_ranges(fn, [k * n // threads for k in range(threads + 1)])
 
 
 def _performer_features(V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -217,28 +225,16 @@ def _performer_features(V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.nda
     return phi
 
 
-def _rfa_features(
-    V: np.ndarray, W: np.ndarray, out: np.ndarray, grow: np.ndarray | None = None
-) -> np.ndarray:
+def _rfa_features(V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
     # Trigonometric features: [cos(Wv), sin(Wv)] / sqrt(D); pairs of
-    # features estimate the Gaussian kernel exp(-|x-y|^2/2).  Row i is
-    # also multiplied by grow[i] if given.  Written to the first rows of
-    # ``out``, and returned.
+    # features estimate the Gaussian kernel exp(-|x-y|^2/2).  Written to
+    # the first rows of ``out``, and returned.
     D = W.shape[0]
     phi = out[: V.shape[0]]
-    np.matmul(V, W.T, out=phi[:, :D])
-    scale = np.sqrt(D)
-
-    # Unlike the performer's exp, sin and cos run faster split on the pool.
-    def features(a, b):
-        proj = phi[a:b, :D]
-        np.sin(proj, out=phi[a:b, D:])
-        np.cos(proj, out=proj)
-        phi[a:b] /= scale
-        if grow is not None:
-            phi[a:b] *= grow[a:b, None]
-
-    _split_rows(features, phi.shape[0])
+    proj = np.matmul(V, W.T, out=phi[:, :D])
+    np.sin(proj, out=phi[:, D:])
+    np.cos(proj, out=proj)
+    phi /= np.sqrt(D)
     return phi
 
 
@@ -262,12 +258,10 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     The keys' features are written, one sub-block of at most
     ``_FEATURE_BYTES`` at a time, into one buffer per call, which the
     query features reuse when they fit; the key side holds that buffer
-    however many keys there are.  Projections and the performer's passes
-    run in the calling thread; the rfa passes run in place on row ranges
-    split on the product pool, and give the same bits at any thread count.
+    however many keys there are.  Both maps run their elementwise passes
+    in place on the whole sub-block, in the calling thread.
     """
-    X = as_dense(X, name="X")
-    Y = X if Y is X else as_dense(Y, name="Y")
+    X, Y = _operands(X, Y)
     if X.shape[1] != fmap.W.shape[1] or Y.shape[1] != fmap.W.shape[1]:
         raise DimensionError(
             f"feature map expects d={fmap.W.shape[1]}, got X d={X.shape[1]}, Y d={Y.shape[1]}"
@@ -275,6 +269,7 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     if variant not in ("performer", "rfa"):
         raise ValidationError(f"unknown kernel variant {variant!r}")
     rfa = variant == "rfa"
+    features = _rfa_features if rfa else _performer_features
 
     width = 2 * fmap.D if rfa else fmap.D
     rows = min(_FEATURE_BLOCK, max(1, _FEATURE_BYTES // (8 * width)))
@@ -282,13 +277,19 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     mass = np.zeros(width)
     for start in range(0, Y.shape[0], _FEATURE_BLOCK):
         stop = min(start + _FEATURE_BLOCK, Y.shape[0])
+        # numpy projects a lone row as a matrix-vector product, whose bits
+        # differ from that row's in the block's matrix product, so a last
+        # sub-block of one row takes a second from the sub-block before.
+        cuts = [*range(start, stop, rows), stop]
+        if rows > 2 and len(cuts) > 2 and stop - cuts[-2] == 1:
+            cuts[-2] -= 1
         carry = None
-        for lo in range(start, stop, rows):
-            sub = Y[lo : min(lo + rows, stop)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            sub = Y[lo:hi]
+            grow = _exp_half_sq(sub) if rfa else None
+            phi = features(sub, fmap.W, buf)
             if rfa:
-                phi = _rfa_features(sub, fmap.W, buf, _exp_half_sq(sub))
-            else:
-                phi = _performer_features(sub, fmap.W, buf)
+                phi *= grow[:, None]
             # numpy sums a C-contiguous block of two or more columns row
             # after row, so carrying the sum so far onto the first row
             # gives the whole block's phi.sum(axis=0), bit for bit.
@@ -299,15 +300,13 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
 
     if X.shape[0] > buf.shape[0]:
         buf = np.empty((X.shape[0], width))
+    vals = features(X, fmap.W, buf) @ mass
     if rfa:
-        vals = _exp_half_sq(X) * (_rfa_features(X, fmap.W, buf) @ mass)
-    else:
-        vals = _performer_features(X, fmap.W, buf) @ mass
+        vals *= _exp_half_sq(X)
     if not np.all(np.isfinite(vals)):
         raise NumericError(f"{variant} feature sums are not finite")
     clamped = np.flatnonzero(vals <= 0)
     if clamped.size:
-        vals = vals.copy()
         vals[clamped] = np.finfo(np.float64).tiny
     return ZEstimate(
         vals, f"{variant}({fmap.D})", clamped=clamped if clamped.size else None

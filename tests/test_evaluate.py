@@ -93,6 +93,20 @@ class TestDeviationCt:
         with pytest.raises(DimensionError):
             deviation_ct([np.zeros((3, 2))], [])
 
+    @pytest.mark.parametrize(
+        "X, match",
+        [
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "epoch 1 iterate of X_traj contains non-finite"),
+            (np.zeros((0, 2)), "epoch 1: iterates have no rows"),
+        ],
+        ids=["nan", "no-rows"],
+    )
+    def test_unusable_iterates_rejected(self, X, match):
+        """Not a silent 0.0 from max(0.0, nan), nor a NaN with a warning."""
+        ok = np.eye(2)
+        with pytest.raises(ValidationError, match=match):
+            deviation_ct([ok, X], [ok, np.zeros_like(X)])
+
 
 class TestCommunityPipeline:
     CFG = OptimizerConfig(d=16, eta0=0.7, n_epochs=15, kappa=1, seed=0)

@@ -448,6 +448,18 @@ class TestMixtureParamsChecks:
         with pytest.raises(ValidationError, match=match):
             MixtureParams(pi=pi, mu=mu, omega=omega, m=m)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pi", np.nan), ("mu", np.nan), ("mu", -np.inf), ("omega", np.nan), ("omega", np.inf)],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        """A NaN fraction passes the sum check and a NaN or infinite moment
+        passes the others, so each is named here, not later in approx_z."""
+        arrays = {"pi": np.ones(1), "mu": np.zeros((1, 2)), "omega": np.eye(2)[None]}
+        arrays[field].flat[0] = value
+        with pytest.raises(ValidationError, match=f"parameter {field} contains non-finite"):
+            MixtureParams(**arrays, m=1)
+
     def test_zero_and_psd_covariances_pass(self):
         omega = np.zeros((3, 2, 2))
         omega[0] = [[2.0, 1.0], [1.0, 2.0]]

@@ -1,5 +1,6 @@
 """The package's import contract."""
 
+import ast
 import os
 import re
 import subprocess
@@ -28,6 +29,35 @@ def test_every_export_resolves():
     """A removed function or class must not leave a dangling lazy export."""
     missing = [name for name in edrep._EXPORTS if not hasattr(edrep, name)]
     assert missing == []
+
+
+#: Private names that one module of the package imports from another,
+#: as (importer, source, name): helpers shared across that boundary on
+#: purpose.
+_PRIVATE_IMPORTS = {
+    ("evaluate", "graphs", "_affinities"),
+    ("optimizer", "znorm", "_log_sum_exp"),
+    ("optimizer", "znorm", "_score_blocks"),
+}
+
+
+def test_private_imports_between_modules_are_listed():
+    """A module that takes a ``_``-prefixed name from another reaches past
+    its public surface; each such import is listed above, so a new one
+    is a visible change."""
+    package = Path(edrep.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "edrep":
+                continue  # another package's names
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.add((path.stem, module.rpartition(".")[2], alias.name))
+    assert found == _PRIVATE_IMPORTS
 
 
 #: Exports that only tests call, each kept for a stated reason.

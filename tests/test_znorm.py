@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edrep import znorm
+from edrep import matstore, znorm
 from edrep.errors import DimensionError, NumericError, ValidationError
 from edrep.matstore import as_dense, unit_rows
 from edrep.mixture import (
@@ -275,13 +275,15 @@ class TestKernelZ:
     )
     @example(m=9000, n=300, d=3, D=1, scale=1.0, seed=1, budget=8 * 4096)
     @example(m=9000, n=300, d=3, D=2, scale=1.0, seed=2, budget=8 * 4096)
+    @example(m=1025, n=300, d=2, D=2, scale=1.0, seed=2, budget=8 * 4096)
     @example(m=2049, n=3, d=4, D=1024, scale=1.0, seed=3, budget=None)
     @example(m=3000, n=3, d=4, D=1024, scale=1.0, seed=4, budget=None)
     @example(m=9000, n=3, d=4, D=1024, scale=1.0, seed=5, budget=None)
     def test_bitwise_equal_to_allocating_reference(self, m, n, d, D, scale, seed, budget):
-        """Key counts cross the 4096-row block edge, the sub-block edges
-        inside a block and the row split; queries outgrow the key buffer
-        when m is small.  The smallest budgets split every block of two or
+        """Key counts cross the 4096-row block edge and the sub-block
+        edges inside a block, and m = 1025 or 2049 leaves one row past a
+        sub-block edge, which must not be projected on its own; queries
+        outgrow the key buffer when m is small.  The smallest budgets split every block of two or
         more columns (2048 rows at width 2) and keep a one-column block,
         which numpy sums pairwise, whole; at D = 1024 the real budget cuts
         2048-row performer and 1024-row rfa sub-blocks."""
@@ -291,25 +293,25 @@ class TestKernelZ:
         fmap = KernelFeatureMap.from_seed(d, D, seed)
         expected = {v: reference_kernel_z(X, Y, fmap, v) for v in ("performer", "rfa")}
         expected_exact = reference_exact_z(X, Y).tobytes()
-        for threads in (1, 2):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(znorm, "product_threads", lambda: threads)
-                if budget is not None:
-                    mp.setattr(znorm, "_FEATURE_BYTES", budget)
-                for variant, (values, clamped) in expected.items():
-                    z = kernel_z(X, Y, fmap, variant)
-                    assert z.values.tobytes() == values.tobytes()
-                    got = np.array([], dtype=np.intp) if z.clamped is None else z.clamped
-                    np.testing.assert_array_equal(got, clamped)
-                assert exact_z(X, Y).values.tobytes() == expected_exact
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(znorm, "_FEATURE_BYTES", budget)
+            for variant, (values, clamped) in expected.items():
+                z = kernel_z(X, Y, fmap, variant)
+                assert z.values.tobytes() == values.tobytes()
+                got = np.array([], dtype=np.intp) if z.clamped is None else z.clamped
+                np.testing.assert_array_equal(got, clamped)
+            assert exact_z(X, Y).values.tobytes() == expected_exact
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("side", ["keys", "queries"])
     def test_performer_guard_raises_before_any_exp(self, side, threads, monkeypatch):
         """An exponent of 950 sits in the last row of the second key block
         (or of the queries); exp would overflow there, and RuntimeWarning
-        is an error under pytest."""
-        monkeypatch.setattr(znorm, "product_threads", lambda: threads)
+        is an error under pytest.  The same holds with one or two usable
+        cores for the product pool, which kernel_z does not use."""
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(matstore, "_usable_cores", lambda: threads)
         fmap = KernelFeatureMap(W=np.array([[100.0]]))
         X = np.full((10, 1), 0.01)
         Y = np.full((6000, 1), 0.01)
@@ -328,8 +330,10 @@ class TestKernelZ:
         """The projection is written into the budgeted feature buffer and
         the passes run in place, so the only other large array is the
         per-sub-block |v|^2 product of the key rows; four times the keys
-        take no more memory."""
-        monkeypatch.setattr(znorm, "product_threads", lambda: threads)
+        take no more memory, with one or two usable cores for the product
+        pool alike."""
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(matstore, "_usable_cores", lambda: threads)
         rng = np.random.default_rng(12)
         d = 16
         fmap = KernelFeatureMap.from_seed(d, 1024, 1)
@@ -340,7 +344,7 @@ class TestKernelZ:
         for m in (8192, 32768):
             Y = unit_rows(rng.standard_normal((m, d)))
             X = Y[:1000].copy()
-            kernel_z(X, Y, fmap, variant)  # starts the pool outside the trace
+            kernel_z(X, Y, fmap, variant)  # warms up outside the trace
             tracemalloc.start()
             try:
                 kernel_z(X, Y, fmap, variant)
@@ -349,6 +353,22 @@ class TestKernelZ:
                 tracemalloc.stop()
         assert peaks[0] <= rows * width * 8 + rows * d * 8 + 256 * 1024
         assert peaks[1] <= peaks[0] + 4096
+
+    def test_feature_passes_never_reach_the_product_pool(self, monkeypatch):
+        """Two usable cores would split a pool-run pass into two ranges;
+        both maps still run every pass in the calling thread."""
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(matstore, "_usable_cores", lambda: 2)
+
+        def no_pool():
+            raise AssertionError("kernel_z reached the product pool")
+
+        monkeypatch.setattr(matstore, "_executor", no_pool)
+        rng = np.random.default_rng(13)
+        Y = unit_rows(rng.standard_normal((5000, 4)))
+        fmap = KernelFeatureMap.from_seed(4, 64, 0)
+        for variant in ("rfa", "performer"):
+            assert kernel_z(Y[:10], Y, fmap, variant).n == 10
 
     def test_unknown_variant_rejected(self):
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
@@ -402,6 +422,30 @@ class TestInputChecks:
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
         with pytest.raises(ValidationError, match="2-dimensional"):
             kernel_z(np.zeros((2, 3)), None, fmap, "performer")
+
+    @pytest.mark.parametrize("method", ["exact", "performer", "rfa"])
+    def test_keys_without_rows_rejected(self, method):
+        """Not a floor Z with every row clamped, nor a NumericError."""
+        X, Y = np.ones((2, 3)), np.empty((0, 3))
+        with pytest.raises(ValidationError, match="Y has no rows"):
+            if method == "exact":
+                exact_z(X, Y)
+            else:
+                kernel_z(X, Y, KernelFeatureMap.from_seed(3, 8, 0), method)
+
+    @pytest.mark.parametrize(
+        "W, match",
+        [
+            (np.ones(3), "2-dimensional"),
+            (np.array([[1.0, np.nan]]), "non-finite"),
+            (np.empty((0, 3)), "rows and columns"),
+            (np.empty((3, 0)), "rows and columns"),
+        ],
+        ids=["1-d", "nan", "no-rows", "no-columns"],
+    )
+    def test_feature_map_checked_when_built(self, W, match):
+        with pytest.raises(ValidationError, match=match):
+            KernelFeatureMap(W=W)
 
     def test_kernel_z_checks_the_map_dimension(self):
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
