@@ -47,7 +47,9 @@ def as_dense(X, name: str = "matrix") -> np.ndarray:
         A = A.copy()
     if A.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
+    # Two reductions, which propagate NaN, instead of np.isfinite(A), which
+    # would allocate a boolean copy of A.
+    if not (np.isfinite(A.min(initial=0.0)) and np.isfinite(A.max(initial=0.0))):
         raise ValidationError(f"{name} contains non-finite entries")
     return A
 

@@ -221,7 +221,7 @@ def _exact_normalizer(Y: np.ndarray):
     For a block of query rows it gives log Z per row and the
     softmax-weighted key sums, from one score buffer per epoch.
     """
-    blocks = _score_blocks(Y, _BLOCK_ROWS)
+    blocks = _score_blocks(Y, _BLOCK_ROWS, whole_rows=True)
 
     def normalize(X):
         logz = np.empty(X.shape[0])

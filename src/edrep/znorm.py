@@ -22,18 +22,32 @@ from .mixture import MixtureParams
 EXP_GUARD = 700.0
 
 #: Query rows per block of exact scores, in :func:`exact_z` and in
-#: ``fit_exact``'s normalizer alike.  On the 1000 x 20000 x 100 criterion-1
-#: instance one score buffer takes 39 MiB with 256 rows and 156 MiB with 1024.
+#: ``fit_exact``'s normalizer alike.
 _BLOCK_ROWS = 256
+#: Keys per chunk of :func:`exact_z`'s scores, a multiple of the 1024
+#: columns that :func:`_compensated_rowsum` sums at once; the remainder
+#: joins the last chunk, so a chunk holds 2048 to 4095 keys.  One score
+#: buffer takes at most 8 MiB however many keys there are (7.1 MiB at
+#: m = 20,000), against 39 MiB for whole 256-row blocks of scores.
+_KEY_CHUNK = 2048
 #: Key rows per feature block of :func:`kernel_z`.  The key feature mass
 #: is summed block by block, so this size fixes its last bits.
 _FEATURE_BLOCK = 4096
 #: Bytes of key features that :func:`kernel_z` holds at once.  A block is
 #: computed in sub-blocks of at most this size, each summed onto the
-#: first row of the next; they set the memory, not the bits.  At least
+#: first row of the next.  They set the memory; their projections match
+#: the block's one product bit for bit at most row counts, least often
+#: with a short last sub-block (``_TAIL_ROWS``).  At least
 #: 8 * _FEATURE_BLOCK, so a one-column map, whose block numpy sums
 #: pairwise rather than row after row, is never split.
 _FEATURE_BYTES = 16 << 20
+#: Fewest rows in the last sub-block of a :func:`kernel_z` block, which
+#: takes them from the sub-block before it.  BLAS projects the rows of a
+#: short product with other kernels than the same rows inside a long one
+#: (a lone row is a matrix-vector product), and with wide keys that moved
+#: the last bits of Z: 9 of 280 rfa cases with tails of 1 to 100 rows at
+#: D from 257 to 1000 and d from 2 to 100, against 1 with this floor.
+_TAIL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -65,21 +79,26 @@ class ZEstimate:
         return self.values.size
 
 
-def _compensated_rowsum(block: np.ndarray) -> np.ndarray:
+def _compensated_rowsum(block: np.ndarray, carry=None) -> np.ndarray:
     """Error-compensated sum along the last axis.
 
     Chunks of 1024 are reduced with numpy's pairwise summation and
     combined with Kahan compensation, keeping the result within a few
-    ulps of an extended-precision sum.
+    ulps of an extended-precision sum.  ``carry``, the (total, comp)
+    pair of a sum over earlier columns, is continued in place: columns
+    summed in runs of whole 1024-column chunks get the bits of one call
+    over them all.  Returns the total.
     """
-    total = np.zeros(block.shape[:-1])
-    comp = np.zeros_like(total)
+    if carry is None:
+        carry = (np.zeros(block.shape[:-1]), np.zeros(block.shape[:-1]))
+    total, comp = carry
     for start in range(0, block.shape[-1], 1024):
-        part = block[..., start : start + 1024].sum(axis=-1)
-        y = part - comp
+        y = block[..., start : start + 1024].sum(axis=-1)
+        y -= comp
         t = total + y
-        comp = (t - total) - y
-        total = t
+        np.subtract(t, total, out=comp)
+        comp -= y
+        total[...] = t
     return total
 
 
@@ -93,23 +112,42 @@ def _check_exponents(S: np.ndarray) -> None:
         )
 
 
-def _score_blocks(Y: np.ndarray, rows: int):
+def _key_cuts(m: int) -> list[int]:
+    """Edges of the key chunks of exact scores: ``_KEY_CHUNK`` keys
+    each, the remainder joined to the last, so fewer than twice
+    ``_KEY_CHUNK`` keys are one chunk.  numpy would score a chunk of a
+    few keys as a matrix-vector product, whose bits differ."""
+    return [*range(0, max(1, m // _KEY_CHUNK) * _KEY_CHUNK, _KEY_CHUNK), m]
+
+
+def _score_blocks(Y: np.ndarray, rows: int, whole_rows: bool = False):
     """The one loop that computes exact scores against the keys Y.
 
-    ``blocks(X)``, for X of at most ``rows`` rows, yields (lo, hi, E, z) per
-    ``_BLOCK_ROWS`` rows: E = exp(X[lo:hi] Y'), guarded whole before the exp,
-    in the one buffer (a fresh one per block would be faulted in anew) until
-    the next block, and z its compensated row sums.
+    ``blocks(X)``, for X of at most ``rows`` rows, yields (lo, hi, E, z)
+    per ``_BLOCK_ROWS`` rows: z the compensated row sums of
+    exp(X[lo:hi] Y').  The scores are computed one key chunk at a time
+    (:func:`_key_cuts`), each guarded whole before its exp, in one
+    buffer (a fresh one per chunk would be faulted in anew), and each
+    row's sum is carried from chunk to chunk, which gives the bits of
+    one sum over the whole row.  With ``whole_rows`` the keys are one
+    chunk and E = exp(X[lo:hi] Y') lives in the buffer until the next
+    block; without, E is None.
     """
-    scores = np.empty((min(_BLOCK_ROWS, rows), Y.shape[0]))
+    cuts = [0, Y.shape[0]] if whole_rows else _key_cuts(Y.shape[0])
+    widest = max(b - a for a, b in zip(cuts[:-1], cuts[1:]))
+    scores = np.empty(min(_BLOCK_ROWS, rows) * widest)
 
     def blocks(X: np.ndarray):
         for lo in range(0, X.shape[0], _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, X.shape[0])
-            S = np.matmul(X[lo:hi], Y.T, out=scores[: hi - lo])
-            _check_exponents(S)
-            E = np.exp(S, out=S)
-            yield lo, hi, E, _compensated_rowsum(E)
+            carry = (np.zeros(hi - lo), np.zeros(hi - lo))
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                S = scores[: (hi - lo) * (b - a)].reshape(hi - lo, b - a)
+                np.matmul(X[lo:hi], Y[a:b].T, out=S)
+                _check_exponents(S)
+                np.exp(S, out=S)
+                _compensated_rowsum(S, carry)
+            yield lo, hi, S if whole_rows else None, carry[0]
 
     return blocks
 
@@ -129,7 +167,8 @@ def exact_z(X: np.ndarray, Y: np.ndarray | None = None) -> ZEstimate:
 
     With ``Y`` omitted the sum runs over the rows of ``X`` itself, the
     a = i term included.  Row sums use compensated accumulation; cost
-    O(d n m).
+    O(d n m), with one score buffer of at most 256 x 4095 floats
+    however many keys there are.
     """
     X, Y = _operands(X, X if Y is None else Y)
     if X.shape[1] != Y.shape[1]:
@@ -277,12 +316,12 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     mass = np.zeros(width)
     for start in range(0, Y.shape[0], _FEATURE_BLOCK):
         stop = min(start + _FEATURE_BLOCK, Y.shape[0])
-        # numpy projects a lone row as a matrix-vector product, whose bits
-        # differ from that row's in the block's matrix product, so a last
-        # sub-block of one row takes a second from the sub-block before.
+        # A short last sub-block takes rows from the one before it, which
+        # keeps at least as many.
         cuts = [*range(start, stop, rows), stop]
-        if rows > 2 and len(cuts) > 2 and stop - cuts[-2] == 1:
-            cuts[-2] -= 1
+        tail = min(_TAIL_ROWS, rows // 2)
+        if len(cuts) > 2 and stop - cuts[-2] < tail:
+            cuts[-2] = stop - tail
         carry = None
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             sub = Y[lo:hi]

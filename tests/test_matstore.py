@@ -510,6 +510,26 @@ class TestAsDense:
         assert A.tobytes() == view.tobytes()
         assert matstore.as_dense(A) is A
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    def test_non_finite_entry_rejected_anywhere(self, bad, where):
+        A = np.full((3, 4), -1e308)
+        A.flat[where] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            matstore.as_dense(A, name="A")
+
+    def test_finiteness_check_allocates_nothing(self):
+        """Extreme finite values pass, and the check makes no boolean
+        copy of the input."""
+        A = np.random.default_rng(1).standard_normal((4000, 100)) * 1e307
+        tracemalloc.start()
+        try:
+            assert matstore.as_dense(A) is A
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.size // 100
+
 
 class TestRescaleEmbedding:
     def test_unit_rows_idempotent(self):

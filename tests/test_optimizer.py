@@ -630,9 +630,13 @@ class TestFitExact:
         for row, X in zip(result.log, result.trajectory, strict=True):
             assert row[3] == exact_loss(X, P, p0)
 
-    @pytest.mark.parametrize("n, m", [(1, 5), (300, 300), (_BLOCK_ROWS, 4097), (700, 100)])
+    @pytest.mark.parametrize(
+        "n, m", [(1, 5), (300, 300), (_BLOCK_ROWS, 4097), (700, 100), (300, 6145), (17, 8193)]
+    )
     def test_normalizer_logz_is_log_of_exact_z(self, n, m):
-        """Blocks that end inside a score block, and more queries than keys."""
+        """Blocks that end inside a score block, more queries than keys, and
+        keys that ``exact_z`` scores in two or three chunks, against the
+        normalizer's whole rows."""
         rng = np.random.default_rng(n + m)
         X, Y = unit_rows(rng, n, 6), unit_rows(rng, m, 6)
         logz, _ = _exact_normalizer(Y)(X)

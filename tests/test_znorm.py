@@ -71,9 +71,22 @@ def reference_kernel_z(X, Y, fmap, variant):
 
 
 def reference_exact_z(X, Y):
-    """``exact_z`` with fresh arrays for every 256-row block."""
+    """``exact_z`` without key chunks: fresh arrays for every 256-row
+    block of whole score rows, each row summed in 1024-column pieces with
+    Kahan compensation."""
+
+    def rowsum(E):
+        total = np.zeros(E.shape[0])
+        comp = np.zeros_like(total)
+        for start in range(0, E.shape[1], 1024):
+            y = E[:, start : start + 1024].sum(axis=1) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        return total
+
     return np.concatenate(
-        [_compensated_rowsum(np.exp(X[s : s + 256] @ Y.T)) for s in range(0, X.shape[0], 256)]
+        [rowsum(np.exp(X[s : s + 256] @ Y.T)) for s in range(0, X.shape[0], 256)]
     )
 
 
@@ -120,20 +133,69 @@ class TestExactZ:
             with pytest.raises(NumericError, match="rescale"):
                 exact_z(X, np.full((1, 1), key))
 
+    def test_guard_raises_before_the_last_key_chunk_overflows(self):
+        """The one score above the guard, 750, sits in the last of three
+        key chunks, whose predecessors have already run their exp; exp
+        would overflow there, and RuntimeWarning is an error under pytest."""
+        X = np.ones((3, 1))
+        Y = np.full((7000, 1), 0.01)
+        Y[-1, 0] = 750.0
+        assert len(znorm._key_cuts(Y.shape[0])) - 1 >= 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="rescale"):
+                exact_z(X, Y)
+
     def test_peak_memory_is_one_score_block(self):
-        """The exponent guard reduces the scores in place: one 256-row
-        block of scores is the only large array ``exact_z`` allocates."""
+        """The scores are computed one key chunk at a time into one buffer
+        and the exponent guard reduces them in place: one 256-row block of
+        at most 4095 keys is the only large array ``exact_z`` allocates,
+        and four times the keys take no more memory."""
         rng = np.random.default_rng(4)
         X = rng.standard_normal((256, 100)) * 0.05
-        Y = rng.standard_normal((20000, 100)) * 0.05
-        block = X.shape[0] * Y.shape[0] * 8
-        tracemalloc.start()
-        try:
-            exact_z(X, Y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * block
+        exact_z(X[:1], X)  # warms up outside the trace
+        peaks = []
+        for m in (20000, 80000):
+            Y = rng.standard_normal((m, 100)) * 0.05
+            tracemalloc.start()
+            try:
+                exact_z(X, Y)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 256 * (2 * znorm._KEY_CHUNK - 1) * 8
+        assert peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("m", [1, 2047, 2048, 4095, 4096, 6143, 6144, 20000])
+    def test_key_chunks_hold_one_to_two_chunk_widths(self, m):
+        cuts = znorm._key_cuts(m)
+        widths = np.diff(cuts)
+        assert cuts[0] == 0 and cuts[-1] == m
+        if m < 2 * znorm._KEY_CHUNK:
+            assert widths.tolist() == [m]
+        else:
+            assert widths.min() >= znorm._KEY_CHUNK
+            assert widths.max() < 2 * znorm._KEY_CHUNK
+
+    @settings(max_examples=60)
+    @given(
+        m=st.sampled_from([2047, 2048, 2049, 2050, 4095, 4096, 4097, 6143, 6145, 8193]),
+        n=st.sampled_from([1, 3, 17, 300]),
+        d=st.integers(1, 100),
+        scale=st.sampled_from([0.1, 1.0, 3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(m=8193, n=300, d=100, scale=1.0, seed=0)
+    @example(m=6145, n=17, d=5, scale=3.0, seed=1)
+    @example(m=4097, n=1, d=1, scale=3.0, seed=2)
+    def test_key_chunks_keep_the_bits(self, m, n, d, scale, seed):
+        """Key counts on either side of the chunk edges, against whole
+        256-row blocks of scores: each row's compensated sum is carried
+        from chunk to chunk, so Z keeps its bits."""
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((m, d)) * scale / np.sqrt(d)
+        X = rng.standard_normal((n, d)) * scale / np.sqrt(d)
+        assert exact_z(X, Y).values.tobytes() == reference_exact_z(X, Y).tobytes()
 
     def test_inner_dimension_checked(self):
         with pytest.raises(DimensionError):
@@ -303,6 +365,30 @@ class TestKernelZ:
                 np.testing.assert_array_equal(got, clamped)
             assert exact_z(X, Y).values.tobytes() == expected_exact
 
+    @pytest.mark.parametrize(
+        "D, d, m, seed",
+        [
+            (257, 100, 4084, 258004),
+            (300, 100, 3498, 3),
+            (400, 32, 2623, 400322),
+            (400, 32, 2624, 400323),
+            (400, 100, 2624, 401003),
+            (600, 100, 1748, 601001),
+        ],
+    )
+    def test_short_last_sub_block_keeps_the_bits(self, D, d, m, seed):
+        """Wide keys and 1 to 4 rows past the budget's 4080, 3495, 2621 or
+        1747-row rfa sub-blocks: projected on their own, such rows can
+        take other bits than inside the block's one product, and a query
+        Z misses the reference, unless the tail takes rows from the
+        sub-block before it, up to _TAIL_ROWS."""
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((m, d)) / np.sqrt(d)
+        X = rng.standard_normal((50, d)) / np.sqrt(d)
+        fmap = KernelFeatureMap.from_seed(d, D, seed)
+        values, _ = reference_kernel_z(X, Y, fmap, "rfa")
+        assert kernel_z(X, Y, fmap, "rfa").values.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("side", ["keys", "queries"])
     def test_performer_guard_raises_before_any_exp(self, side, threads, monkeypatch):
@@ -402,6 +488,23 @@ class TestCarriedColumnSum:
     def test_one_column_blocks_are_never_split(self):
         # numpy sums a one-column block pairwise, where the carry is not exact.
         assert znorm._FEATURE_BYTES // 8 >= znorm._FEATURE_BLOCK
+
+
+class TestCarriedCompensatedSum:
+    """The property behind ``exact_z``'s key chunks: a compensated row sum
+    continued over runs of whole 1024-column chunks ends with the bits of
+    one call over all the columns."""
+
+    @pytest.mark.parametrize("cols", [1024, 2048, 3000, 6145])
+    def test_carry_over_column_runs_is_one_sum(self, cols):
+        rng = np.random.default_rng(cols)
+        block = np.exp(8.0 * rng.standard_normal((5, cols)))
+        expected = _compensated_rowsum(block).tobytes()
+        for run in (1024, 2048):
+            carry = (np.zeros(5), np.zeros(5))
+            for a in range(0, cols, run):
+                _compensated_rowsum(block[:, a : a + run], carry)
+            assert carry[0].tobytes() == expected, f"{run}-column runs"
 
 
 class TestInputChecks:
