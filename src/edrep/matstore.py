@@ -33,6 +33,15 @@ from .errors import DimensionError, ValidationError
 ROW_STOCHASTIC_TOL = 1e-9
 
 
+def _real(A, name: str):
+    """``A`` itself if its dtype holds integers or real floating-point
+    numbers; a float64 cast would drop an imaginary part, or turn
+    booleans, strings and objects into numbers, without a word."""
+    if A.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must hold real numbers, got dtype {A.dtype}")
+    return A
+
+
 def as_dense(X, name: str = "matrix") -> np.ndarray:
     """Return ``X`` as an aligned, C-contiguous 2-D float64 array,
     checking that entries are finite.
@@ -42,11 +51,12 @@ def as_dense(X, name: str = "matrix") -> np.ndarray:
     data does not start on an 8-byte boundary: BLAS and numpy's loops
     take a slow path on every later call that reads it.
     """
-    A = np.ascontiguousarray(X, dtype=np.float64)
-    if not A.flags.aligned:
-        A = A.copy()
+    A = np.asarray(X)
     if A.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
+    A = np.ascontiguousarray(_real(A, name), dtype=np.float64)
+    if not A.flags.aligned:
+        A = A.copy()
     # Two reductions, which propagate NaN, instead of np.isfinite(A), which
     # would allocate a boolean copy of A.
     if not (np.isfinite(A.min(initial=0.0)) and np.isfinite(A.max(initial=0.0))):
@@ -56,7 +66,7 @@ def as_dense(X, name: str = "matrix") -> np.ndarray:
 
 def as_csr(A, name: str = "matrix") -> sp.csr_matrix:
     """Return ``A`` as a canonical float64 CSR matrix."""
-    M = sp.csr_matrix(A, dtype=np.float64)
+    M = sp.csr_matrix(_real(A if sp.issparse(A) else np.asarray(A), name), dtype=np.float64)
     M.sum_duplicates()
     M.sort_indices()
     if not np.all(np.isfinite(M.data)):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
 from .matstore import as_dense
-from .mixture import MixtureParams
+from .mixture import MixtureParams, _block_cuts
 
 #: Scalar products beyond this magnitude would push exp() against the
 #: float64 cliff; callers are expected to rescale their embeddings.
@@ -35,9 +35,12 @@ _KEY_CHUNK = 2048
 _FEATURE_BLOCK = 4096
 #: Bytes of key features that :func:`kernel_z` holds at once.  A block is
 #: computed in sub-blocks of at most this size, each summed onto the
-#: first row of the next.  They set the memory; their projections match
-#: the block's one product bit for bit at most row counts, least often
-#: with a short last sub-block (``_TAIL_ROWS``).  At least
+#: first row of the next, and these sub-blocks define the bits of Z.
+#: They equal one projection per block wherever BLAS gives a sub-block's
+#: rows the bits of the same rows in the longer product: at the
+#: benchmark's 1048- and 2097-row sub-blocks, but not at every shape (2
+#: of 560 cases of a sweep over D from 257 to 1000 and d from 2 to 100
+#: move 1 of 50 query Z values in the last bits).  At least
 #: 8 * _FEATURE_BLOCK, so a one-column map, whose block numpy sums
 #: pairwise rather than row after row, is never split.
 _FEATURE_BYTES = 16 << 20
@@ -112,28 +115,20 @@ def _check_exponents(S: np.ndarray) -> None:
         )
 
 
-def _key_cuts(m: int) -> list[int]:
-    """Edges of the key chunks of exact scores: ``_KEY_CHUNK`` keys
-    each, the remainder joined to the last, so fewer than twice
-    ``_KEY_CHUNK`` keys are one chunk.  numpy would score a chunk of a
-    few keys as a matrix-vector product, whose bits differ."""
-    return [*range(0, max(1, m // _KEY_CHUNK) * _KEY_CHUNK, _KEY_CHUNK), m]
-
-
 def _score_blocks(Y: np.ndarray, rows: int, whole_rows: bool = False):
     """The one loop that computes exact scores against the keys Y.
 
     ``blocks(X)``, for X of at most ``rows`` rows, yields (lo, hi, E, z)
     per ``_BLOCK_ROWS`` rows: z the compensated row sums of
     exp(X[lo:hi] Y').  The scores are computed one key chunk at a time
-    (:func:`_key_cuts`), each guarded whole before its exp, in one
-    buffer (a fresh one per chunk would be faulted in anew), and each
-    row's sum is carried from chunk to chunk, which gives the bits of
-    one sum over the whole row.  With ``whole_rows`` the keys are one
+    (``_block_cuts`` of ``_KEY_CHUNK``), each guarded whole before its
+    exp, in one buffer (a fresh one per chunk would be faulted in anew),
+    and each row's sum is carried from chunk to chunk, which gives the
+    bits of one sum over the whole row.  With ``whole_rows`` the keys are one
     chunk and E = exp(X[lo:hi] Y') lives in the buffer until the next
     block; without, E is None.
     """
-    cuts = [0, Y.shape[0]] if whole_rows else _key_cuts(Y.shape[0])
+    cuts = [0, Y.shape[0]] if whole_rows else _block_cuts(Y.shape[0], _KEY_CHUNK)
     widest = max(b - a for a, b in zip(cuts[:-1], cuts[1:]))
     scores = np.empty(min(_BLOCK_ROWS, rows) * widest)
 

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.io as spio
 import scipy.sparse as sp
 
 from edrep import cli, evaluate, graphs, optimizer, znorm
@@ -160,6 +161,16 @@ class TestFit:
         code = run("fit", "--operator", path, "--out", tmp_path / "o")
         assert code == EXIT_VALIDATION
         assert "row-stochastic" in capsys.readouterr().err
+
+    def test_complex_operator_rejected(self, tmp_path, capsys):
+        """A complex MatrixMarket operator whose real part is
+        row-stochastic used to train on that real part and exit 0."""
+        P = sp.csr_matrix(np.array([[0.5 + 5j, 0.5], [0.25, 0.75 - 7j]]))
+        path = tmp_path / "complex.mtx"
+        spio.mmwrite(str(path), P)
+        code = run("fit", "--operator", path, "--dim", 2, "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION
+        assert "must hold real numbers, got dtype complex128" in capsys.readouterr().err
 
 
 class TestDcsbmBench:

@@ -531,6 +531,37 @@ class TestAsDense:
         assert peak < A.size // 100
 
 
+class TestRealDtypes:
+    @pytest.mark.parametrize("convert", [matstore.as_dense, matstore.as_csr], ids=["dense", "csr"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[0.5, 0.5 + 5j]]),
+            np.array([[True, False]]),
+            np.array([["0.5", "0.5"]]),
+            np.array([[0.5, 0.5]], dtype=object),
+        ],
+        ids=["complex", "bool", "string", "object"],
+    )
+    def test_non_real_dtype_rejected(self, convert, values):
+        """A float64 cast would keep the real part of a complex entry and
+        turn booleans, numeric strings and objects into numbers."""
+        with pytest.raises(ValidationError, match="A must hold real numbers"):
+            convert(values, name="A")
+
+    def test_complex_sparse_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="got dtype complex128"):
+            matstore.as_csr(sp.coo_matrix(np.array([[1.0 + 2j, 0.0], [0.0, 1.0]])))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.float32])
+    def test_integer_and_floating_dtypes_convert_exactly(self, dtype):
+        values = np.array([[1, 0, 2], [0, 3, 4]], dtype=dtype)
+        assert matstore.as_dense(values).tobytes() == values.astype(np.float64).tobytes()
+        M = matstore.as_csr(values)
+        assert M.dtype == np.float64
+        assert M.toarray().tobytes() == values.astype(np.float64).tobytes()
+
+
 class TestRescaleEmbedding:
     def test_unit_rows_idempotent(self):
         X = np.array([[1.0, 0.0], [0.6, 0.8]])

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edrep import mixture
 from edrep.errors import ValidationError
 from edrep.mixture import (
     LabelVector,
     MixtureParams,
+    _block_cuts,
     _class_means,
     class_moments,
     estimate_mixture,
@@ -31,7 +33,7 @@ def reference_kmeans(Y, kappa, seed, max_iter=100, restarts=1):
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(max(1, restarts)):
-        labels, inertia = _reference_lloyd(Y, kappa, rng, max_iter)
+        labels, _, inertia = _reference_lloyd(Y, kappa, rng, max_iter)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels + 1
@@ -86,7 +88,7 @@ def _reference_lloyd(Y, k, rng, max_iter):
             centers[j] = Y[labels == j].mean(axis=0)
     centers = np.vstack([Y[labels == j].mean(axis=0) for j in range(k)])
     inertia = float(np.sum((Y - centers[labels]) ** 2))
-    return labels, inertia
+    return labels, centers, inertia
 
 
 class TestLabelVector:
@@ -190,6 +192,27 @@ class TestKmeansLabel:
             tracemalloc.stop()
         assert peak < Y.nbytes
 
+    def test_one_restart_holds_no_n_by_kappa_distances(self):
+        """Each Lloyd iteration takes its distances one block of at most
+        4095 rows at a time, in one buffer.  Beyond that block a restart
+        holds at most five n-vectors: the row norms, and either the labels
+        of this and the last iteration or k-means++'s distances, draw
+        probabilities and their cumulative sum, plus one passing vector.
+        The n x kappa distances and their temporaries took 18.  d = kappa,
+        so the row norms' 4095 x d block of squares fits the same bound."""
+        n, kappa = 50000, 8
+        rng = np.random.default_rng(0)
+        centers = rng.standard_normal((kappa, kappa)) * 3
+        Y = centers[rng.integers(kappa, size=n)] + rng.standard_normal((n, kappa))
+        kmeans_label(Y[:5000], kappa, seed=1)  # warms up outside the trace
+        tracemalloc.start()
+        try:
+            kmeans_label(Y, kappa, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * 8 + 4095 * kappa * 8
+
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_restarts_must_be_positive(self, restarts):
         Y = np.arange(8.0).reshape(4, 2)
@@ -274,6 +297,64 @@ class TestKmeansOracle:
                 kmeans_label(Y, kappa, seed=kappa, restarts=restarts).labels,
                 reference_kmeans(Y, kappa, kappa, restarts=restarts),
             )
+
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 4095, 4096, 6143, 6144, 20000])
+    def test_lloyd_blocks_hold_one_to_two_block_widths(self, n):
+        cuts = _block_cuts(n, mixture._LLOYD_BLOCK)
+        widths = np.diff(cuts)
+        assert cuts[0] == 0 and cuts[-1] == n
+        if n < 2 * mixture._LLOYD_BLOCK:
+            assert widths.tolist() == [n]
+        else:
+            assert widths.min() >= mixture._LLOYD_BLOCK
+            assert widths.max() < 2 * mixture._LLOYD_BLOCK
+
+    @pytest.mark.parametrize("n", [2047, 2048, 4095, 4096, 4097, 6143, 6144, 8191, 8193])
+    def test_blocked_pass_keeps_the_bits_at_block_edges(self, n):
+        """Row counts on either side of the block edges: every block's
+        distances have the bits of one product over all rows, and the
+        class sums add each class's rows in ascending order, so labels
+        and centers equal the whole-matrix reference bit for bit."""
+        for d, kappa in itertools.product((2, 32, 100), (2, 5, 8)):
+            rng = np.random.default_rng(n + d + kappa)
+            blobs = 2.0 * rng.standard_normal((kappa + 3, d))
+            Y = blobs[rng.integers(kappa + 3, size=n)] + rng.standard_normal((n, d))
+            labels, centers = mixture._lloyd(
+                Y, np.sum(Y * Y, axis=1), kappa, np.random.default_rng(kappa),
+                _block_cuts(n, mixture._LLOYD_BLOCK),
+            )
+            expected, expected_centers, _ = _reference_lloyd(
+                Y, kappa, np.random.default_rng(kappa), 100
+            )
+            assert labels.tobytes() == expected.tobytes(), (d, kappa)
+            assert centers.tobytes() == expected_centers.tobytes(), (d, kappa)
+
+    def test_blocked_pass_repairs_like_the_reference(self, monkeypatch):
+        """Three distinct rows for eight classes across three blocks:
+        k-means++ picks duplicate centers, the first pass leaves classes
+        empty, so the repair moves rows and the centers come from the
+        class means of the repaired labels."""
+        repairs = []
+        original = mixture._class_means
+
+        def recording(*args):
+            repairs.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(mixture, "_class_means", recording)
+        rng = np.random.default_rng(8)
+        Y = rng.standard_normal((3, 4))[rng.integers(3, size=6145)]
+        for seed in range(3):
+            labels, centers = mixture._lloyd(
+                Y, np.sum(Y * Y, axis=1), 8, np.random.default_rng(seed),
+                _block_cuts(6145, mixture._LLOYD_BLOCK),
+            )
+            expected, expected_centers, _ = _reference_lloyd(
+                Y, 8, np.random.default_rng(seed), 100
+            )
+            assert labels.tobytes() == expected.tobytes()
+            assert centers.tobytes() == expected_centers.tobytes()
+        assert repairs
 
     @settings(max_examples=40)
     @given(

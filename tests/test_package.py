@@ -38,6 +38,7 @@ _PRIVATE_IMPORTS = {
     ("evaluate", "graphs", "_affinities"),
     ("optimizer", "znorm", "_log_sum_exp"),
     ("optimizer", "znorm", "_score_blocks"),
+    ("znorm", "mixture", "_block_cuts"),
 }
 
 

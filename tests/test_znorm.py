@@ -15,6 +15,7 @@ from edrep.matstore import as_dense, unit_rows
 from edrep.mixture import (
     LabelVector,
     MixtureParams,
+    _block_cuts,
     estimate_mixture,
     kmeans_label,
     singleton_mixture,
@@ -140,7 +141,7 @@ class TestExactZ:
         X = np.ones((3, 1))
         Y = np.full((7000, 1), 0.01)
         Y[-1, 0] = 750.0
-        assert len(znorm._key_cuts(Y.shape[0])) - 1 >= 3
+        assert len(_block_cuts(Y.shape[0], znorm._KEY_CHUNK)) - 1 >= 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="rescale"):
@@ -168,7 +169,7 @@ class TestExactZ:
 
     @pytest.mark.parametrize("m", [1, 2047, 2048, 4095, 4096, 6143, 6144, 20000])
     def test_key_chunks_hold_one_to_two_chunk_widths(self, m):
-        cuts = znorm._key_cuts(m)
+        cuts = _block_cuts(m, znorm._KEY_CHUNK)
         widths = np.diff(cuts)
         assert cuts[0] == 0 and cuts[-1] == m
         if m < 2 * znorm._KEY_CHUNK:
