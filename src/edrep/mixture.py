@@ -22,10 +22,12 @@ PSD_EIG_TOL = -1e-8
 _MAX_ITER = 100
 #: Rows per block of k-means' row norms and distances (:func:`_block_cuts`).
 #: With the remainder joined to the last block, every block's distances
-#: have the bits of one product over all rows: 0 of 300 shapes differed
-#: (n from 8191 to 100,000, d up to 100, kappa up to 16, 1 and 2 BLAS
-#: threads), against 30 with 512-row blocks and every row of a short tail
-#: of up to 128 rows at some shapes.
+#: had the bits of one product over all rows in a measured sweep: 0 of
+#: 300 shapes differed (n from 8191 to 100,000, d up to 100, kappa up to
+#: 16, at 1 and 2 BLAS threads), against 30 with 512-row blocks and every
+#: row of a short tail of up to 128 rows at some shapes.  OpenBLAS can
+#: give a row other bits depending on the product's row count, so this
+#: holds for the measured shapes and thread counts, not for every one.
 _LLOYD_BLOCK = 2048
 
 
@@ -241,29 +243,22 @@ def _plus_plus_centers(Y, sq_norms, k, rng):
     return centers
 
 
-def _add_class_sums(Y, labels, sums):
-    """Add each row of ``Y`` into row ``labels[i]`` of ``sums``, as one
-    class-indicator product.
+def _class_means(Y, labels, k):
+    """Mean row of each class in 0..k-1, as one class-indicator product.
 
     The indicator has one entry per row of ``Y``, stored by columns, and
     goes straight to scipy's CSC kernel (the one behind ``indicator @ Y``),
     so no sparse matrix is built per call.  The kernel adds the rows of
-    each class in ascending order onto what ``sums`` holds, so calls over
-    consecutive row blocks give the bits of one call over them all.  It
-    reads ``Y`` once, in order.
+    each class in ascending order, as ``Y[labels == j].mean(axis=0)``
+    does.  It reads ``Y`` once, in order.
     """
     n, d = Y.shape
+    sums = np.zeros((k, d))
     _sparsetools.csc_matvecs(
-        sums.shape[0], n, d, np.arange(n + 1), labels, np.ones(n), Y.ravel(), sums.ravel()
+        k, n, d, np.arange(n + 1), labels, np.ones(n), Y.ravel(), sums.ravel()
     )
-
-
-def _class_means(Y, labels, k):
-    """Mean row of each class in 0..k-1, bitwise equal to
-    ``Y[labels == j].mean(axis=0)`` for two or more columns."""
-    sums = np.zeros((k, Y.shape[1]))
-    _add_class_sums(Y, labels, sums)
-    return sums / np.bincount(labels, minlength=k)[:, None]
+    counts = np.bincount(labels, minlength=k)
+    return sums / counts[:, None]
 
 
 def _block_dists(Y, sq_norms, centers, cuts, buf):
@@ -279,23 +274,20 @@ def _lloyd(Y, sq_norms, k, rng, cuts):
     """Lloyd iterations from k-means++ centers, each one pass over the
     row blocks ``cuts``.
 
-    Per block the pass writes the distances into one buffer, takes their
-    argmin and adds the block's rows into the class sums.  So no n x k
-    distance array exists, and BLAS never packs all of Y.
+    Per block the pass writes the distances into one buffer and takes
+    their argmin, so no n x k distance array exists, and BLAS never packs
+    all of Y.
     """
-    n, d = Y.shape
+    n = Y.shape[0]
     centers = _plus_plus_centers(Y, sq_norms, k, rng)
     buf = np.empty(max(b - a for a, b in zip(cuts[:-1], cuts[1:])) * k)
     labels = None
     for _ in range(_MAX_ITER):
         new = np.empty(n, dtype=np.intp)
-        sums = np.zeros((k, d))
         for lo, hi, dists in _block_dists(Y, sq_norms, centers, cuts, buf):
             np.argmin(dists, axis=1, out=new[lo:hi])
-            _add_class_sums(Y[lo:hi], new[lo:hi], sums)
         counts = np.bincount(new, minlength=k)
-        repaired = bool(np.any(counts == 0))
-        if repaired:
+        if np.any(counts == 0):
             # Each row's distance to its own center, from a second pass
             # with the same bits: a repair is rare, and keeping these in
             # the pass above cost 6% of an iteration at 20,000 x 100.
@@ -311,9 +303,8 @@ def _lloyd(Y, sq_norms, k, rng, cuts):
                 new[far] = j
         if labels is not None and np.array_equal(labels, new):
             break
-        # The centers always belong to the final labels: a converged
-        # iteration leaves both unchanged.  The pass's sums belong to the
-        # labels before any repair, so a repair takes the class means anew.
         labels = new
-        centers = _class_means(Y, labels, k) if repaired else sums / counts[:, None]
+        # The centers always belong to the final labels: a converged
+        # iteration leaves both unchanged.
+        centers = _class_means(Y, labels, k)
     return labels, centers

@@ -298,22 +298,10 @@ class TestKmeansOracle:
                 reference_kmeans(Y, kappa, kappa, restarts=restarts),
             )
 
-    @pytest.mark.parametrize("n", [1, 2047, 2048, 4095, 4096, 6143, 6144, 20000])
-    def test_lloyd_blocks_hold_one_to_two_block_widths(self, n):
-        cuts = _block_cuts(n, mixture._LLOYD_BLOCK)
-        widths = np.diff(cuts)
-        assert cuts[0] == 0 and cuts[-1] == n
-        if n < 2 * mixture._LLOYD_BLOCK:
-            assert widths.tolist() == [n]
-        else:
-            assert widths.min() >= mixture._LLOYD_BLOCK
-            assert widths.max() < 2 * mixture._LLOYD_BLOCK
-
     @pytest.mark.parametrize("n", [2047, 2048, 4095, 4096, 4097, 6143, 6144, 8191, 8193])
     def test_blocked_pass_keeps_the_bits_at_block_edges(self, n):
         """Row counts on either side of the block edges: every block's
-        distances have the bits of one product over all rows, and the
-        class sums add each class's rows in ascending order, so labels
+        distances have the bits of one product over all rows, so labels
         and centers equal the whole-matrix reference bit for bit."""
         for d, kappa in itertools.product((2, 32, 100), (2, 5, 8)):
             rng = np.random.default_rng(n + d + kappa)
@@ -329,19 +317,11 @@ class TestKmeansOracle:
             assert labels.tobytes() == expected.tobytes(), (d, kappa)
             assert centers.tobytes() == expected_centers.tobytes(), (d, kappa)
 
-    def test_blocked_pass_repairs_like_the_reference(self, monkeypatch):
-        """Three distinct rows for eight classes across three blocks:
-        k-means++ picks duplicate centers, the first pass leaves classes
-        empty, so the repair moves rows and the centers come from the
-        class means of the repaired labels."""
-        repairs = []
-        original = mixture._class_means
-
-        def recording(*args):
-            repairs.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(mixture, "_class_means", recording)
+    def test_blocked_pass_repairs_like_the_reference(self):
+        """Three distinct rows for eight classes across three blocks: an
+        argmin over the blocks labels at most three classes, so every
+        pass empties classes and the repair, which reads each row's own
+        distance from the blocks, moves rows."""
         rng = np.random.default_rng(8)
         Y = rng.standard_normal((3, 4))[rng.integers(3, size=6145)]
         for seed in range(3):
@@ -354,7 +334,6 @@ class TestKmeansOracle:
             )
             assert labels.tobytes() == expected.tobytes()
             assert centers.tobytes() == expected_centers.tobytes()
-        assert repairs
 
     @settings(max_examples=40)
     @given(

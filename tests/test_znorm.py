@@ -13,6 +13,7 @@ from edrep import matstore, znorm
 from edrep.errors import DimensionError, NumericError, ValidationError
 from edrep.matstore import as_dense, unit_rows
 from edrep.mixture import (
+    _LLOYD_BLOCK,
     LabelVector,
     MixtureParams,
     _block_cuts,
@@ -169,14 +170,18 @@ class TestExactZ:
 
     @pytest.mark.parametrize("m", [1, 2047, 2048, 4095, 4096, 6143, 6144, 20000])
     def test_key_chunks_hold_one_to_two_chunk_widths(self, m):
-        cuts = _block_cuts(m, znorm._KEY_CHUNK)
-        widths = np.diff(cuts)
-        assert cuts[0] == 0 and cuts[-1] == m
-        if m < 2 * znorm._KEY_CHUNK:
-            assert widths.tolist() == [m]
-        else:
-            assert widths.min() >= znorm._KEY_CHUNK
-            assert widths.max() < 2 * znorm._KEY_CHUNK
+        """The one block-edge rule, at the widths of the key chunks and
+        of k-means' row blocks and at a small width that cuts many
+        blocks."""
+        for width in {znorm._KEY_CHUNK, _LLOYD_BLOCK, 3}:
+            cuts = _block_cuts(m, width)
+            widths = np.diff(cuts)
+            assert cuts[0] == 0 and cuts[-1] == m
+            if m < 2 * width:
+                assert widths.tolist() == [m]
+            else:
+                assert widths.min() >= width
+                assert widths.max() < 2 * width
 
     @settings(max_examples=60)
     @given(
