@@ -196,8 +196,9 @@ class TestKmeansLabel:
         """Each Lloyd iteration takes its distances one block of at most
         4095 rows at a time, in one buffer.  Beyond that block a restart
         holds at most five n-vectors: the row norms, and either the labels
-        of this and the last iteration or k-means++'s distances, draw
-        probabilities and their cumulative sum, plus one passing vector.
+        of this and the last iteration, the labels and the class means'
+        two index vectors, or k-means++'s distances, draw probabilities
+        and their cumulative sum, plus one passing vector.
         The n x kappa distances and their temporaries took 18.  d = kappa,
         so the row norms' 4095 x d block of squares fits the same bound."""
         n, kappa = 50000, 8
