@@ -76,7 +76,7 @@ def as_csr(A, name: str = "matrix") -> sp.csr_matrix:
 
 def validate_regularization_weights(p0, n: int | None = None) -> np.ndarray:
     """Check that ``p0`` is a nonnegative vector summing to 1 within 1e-12."""
-    w = np.ascontiguousarray(p0, dtype=np.float64)
+    w = np.ascontiguousarray(_real(np.asarray(p0), "regularization weights"), dtype=np.float64)
     if w.ndim != 1:
         raise ValidationError("regularization weights must be a vector")
     if n is not None and w.size != n:

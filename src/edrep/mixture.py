@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from .errors import ValidationError
-from .matstore import as_dense
+from .matstore import _real, as_dense
 
 #: Covariance eigenvalues may undershoot zero by at most this much.
 PSD_EIG_TOL = -1e-8
@@ -54,16 +54,18 @@ class LabelVector:
     kappa: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", arr)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = _real(np.asarray(self.labels), "labels")
+        if raw.ndim != 1 or raw.size == 0:
             raise ValidationError("labels must form a nonempty vector")
-        check_kappa(self.kappa, arr.size, "the label vector")
-        if arr.min() < 1 or arr.max() > self.kappa:
+        check_kappa(self.kappa, raw.size, "the label vector")
+        # Membership, not a range test, which 1.5 would pass into the cast.
+        if not np.isin(raw, np.arange(1, self.kappa + 1)).all():
             raise ValidationError(
-                f"labels must lie in 1..{self.kappa}, got range "
-                f"[{arr.min()}, {arr.max()}]"
+                f"labels must be whole numbers in 1..{self.kappa}, got range "
+                f"[{raw.min()}, {raw.max()}]"
             )
+        arr = np.ascontiguousarray(raw, dtype=np.int64)
+        object.__setattr__(self, "labels", arr)
         counts = np.bincount(arr, minlength=self.kappa + 1)[1:]
         if np.any(counts == 0):
             empty = np.flatnonzero(counts == 0) + 1

@@ -25,7 +25,7 @@ from .matstore import (
     as_chain, as_dense, uniform_weights, unit_rows, validate_regularization_weights
 )
 from .mixture import LabelVector, MixtureParams, check_kappa, class_moments, kmeans_label
-from .znorm import _log_sum_exp, _score_blocks, exact_z, zeta_matrix
+from .znorm import _log_sum_exp, _operands, _score_blocks, exact_z, zeta_matrix
 
 #: Tangential rows whose norm falls below this fraction of the full
 #: gradient row norm count as vanished: below that scale the direction
@@ -133,9 +133,10 @@ def exact_loss(X: np.ndarray, P, p0) -> float:
     Intended as an oracle and a comparison arm, not for large runs.
     """
     X, chain, p0 = _entry(X, P, p0)
+    logz = np.log(exact_z(X).values)
     # Summed per row block, in the order of the epoch loop.
-    logz = sum(float(np.log(exact_z(X[lo:hi], X).values).sum()) for lo, hi in _row_blocks(len(X)))
-    return _objective(X, chain._apply(X), p0 @ X)(logz)
+    total = sum(float(logz[lo:hi].sum()) for lo, hi in _row_blocks(len(X)))
+    return _objective(X, chain._apply(X), p0 @ X)(total)
 
 
 def mixture_loss(X: np.ndarray, P, p0, params: MixtureParams) -> float:
@@ -164,8 +165,8 @@ def approx_gradient(X: np.ndarray, P, p0, params: MixtureParams) -> np.ndarray:
 
 def softmax_weighted_term(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Rows sum_a softmax(x_i . y_a) y_a: the log-Z gradient with frozen keys."""
-    X = as_dense(X)
-    return _normalized(_exact_normalizer(X if Y is None else as_dense(Y)), X)
+    X, Y = _operands(X, X if Y is None else Y)
+    return _normalized(_exact_normalizer(Y), X)
 
 
 def _row_blocks(n: int):
@@ -219,18 +220,19 @@ def _exact_normalizer(Y: np.ndarray):
     """The exact normalizer against the keys ``Y``.
 
     For a block of query rows it gives log Z per row and the
-    softmax-weighted key sums, from one score buffer per epoch.
+    softmax-weighted key sums, from one score buffer per epoch; the term
+    sums exp-scores times keys over the key chunks, then divides by Z.
     """
-    blocks = _score_blocks(Y, _BLOCK_ROWS, whole_rows=True)
+    blocks = _score_blocks(Y, _BLOCK_ROWS)
 
     def normalize(X):
-        logz = np.empty(X.shape[0])
-        term = np.empty_like(X)
-        for lo, hi, E, z in blocks(X):
-            E /= z[:, None]
-            np.matmul(E, Y, out=term[lo:hi])
-            logz[lo:hi] = np.log(z)
-        return logz, term
+        z = np.empty(X.shape[0])
+        term = np.zeros_like(X)
+        for lo, hi, a, b, E, zb in blocks(X):
+            term[lo:hi] += E @ Y[a:b]
+            z[lo:hi] = zb
+        term /= z[:, None]
+        return np.log(z, out=z), term
 
     return normalize
 

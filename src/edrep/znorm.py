@@ -24,10 +24,10 @@ EXP_GUARD = 700.0
 #: Query rows per block of exact scores, in :func:`exact_z` and in
 #: ``fit_exact``'s normalizer alike.
 _BLOCK_ROWS = 256
-#: Keys per chunk of :func:`exact_z`'s scores, a multiple of the 1024
-#: columns that :func:`_compensated_rowsum` sums at once; the remainder
-#: joins the last chunk, so a chunk holds 2048 to 4095 keys.  One score
-#: buffer takes at most 8 MiB however many keys there are (7.1 MiB at
+#: Keys per chunk of every exact score (:func:`_score_blocks`), a multiple
+#: of the 1024 columns that :func:`_compensated_rowsum` sums at once; the
+#: remainder joins the last chunk, so a chunk holds 2048 to 4095 keys.  One
+#: score buffer takes at most 8 MiB however many keys there are (7.1 MiB at
 #: m = 20,000), against 39 MiB for whole 256-row blocks of scores.
 _KEY_CHUNK = 2048
 #: Key rows per feature block of :func:`kernel_z`.  The key feature mass
@@ -115,22 +115,19 @@ def _check_exponents(S: np.ndarray) -> None:
         )
 
 
-def _score_blocks(Y: np.ndarray, rows: int, whole_rows: bool = False):
+def _score_blocks(Y: np.ndarray, rows: int):
     """The one loop that computes exact scores against the keys Y.
 
-    ``blocks(X)``, for X of at most ``rows`` rows, yields (lo, hi, E, z)
-    per ``_BLOCK_ROWS`` rows: z the compensated row sums of
-    exp(X[lo:hi] Y').  The scores are computed one key chunk at a time
-    (``_block_cuts`` of ``_KEY_CHUNK``), each guarded whole before its
-    exp, in one buffer (a fresh one per chunk would be faulted in anew),
-    and each row's sum is carried from chunk to chunk, which gives the
-    bits of one sum over the whole row.  With ``whole_rows`` the keys are one
-    chunk and E = exp(X[lo:hi] Y') lives in the buffer until the next
-    block; without, E is None.
+    ``blocks(X)``, for X of at most ``rows`` rows, yields (lo, hi, a, b,
+    E, z) per ``_BLOCK_ROWS`` rows and key chunk Y[a:b] (``_block_cuts``
+    of ``_KEY_CHUNK``): E = exp(X[lo:hi] Y[a:b]'), guarded whole before
+    its exp, in one buffer (a fresh one per chunk would be faulted in
+    anew), and z the compensated row sums so far.  Each row's sum is
+    carried from chunk to chunk, which gives the bits of one sum over the
+    whole row, so z is final after the block's last chunk.
     """
-    cuts = [0, Y.shape[0]] if whole_rows else _block_cuts(Y.shape[0], _KEY_CHUNK)
-    widest = max(b - a for a, b in zip(cuts[:-1], cuts[1:]))
-    scores = np.empty(min(_BLOCK_ROWS, rows) * widest)
+    cuts = _block_cuts(Y.shape[0], _KEY_CHUNK)
+    scores = np.empty(min(_BLOCK_ROWS, rows) * max(np.diff(cuts)))
 
     def blocks(X: np.ndarray):
         for lo in range(0, X.shape[0], _BLOCK_ROWS):
@@ -142,18 +139,22 @@ def _score_blocks(Y: np.ndarray, rows: int, whole_rows: bool = False):
                 _check_exponents(S)
                 np.exp(S, out=S)
                 _compensated_rowsum(S, carry)
-            yield lo, hi, S if whole_rows else None, carry[0]
+                yield lo, hi, a, b, S, carry[0]
 
     return blocks
 
 
 def _operands(X, Y):
-    """The queries X and the keys Y as checked dense arrays, Y being X
-    itself when passed as X; Z sums over the keys, so Y needs a row."""
+    """The queries X and keys Y as checked dense arrays of one width, Y
+    being X itself when passed as X; Z sums over the keys, so Y needs a row."""
     X = as_dense(X, name="X")
     Y = X if Y is X else as_dense(Y, name="Y")
     if Y.shape[0] == 0:
         raise ValidationError("Y has no rows; Z sums over at least one key")
+    if X.shape[1] != Y.shape[1]:
+        raise DimensionError(
+            f"inner dimensions differ: X has d={X.shape[1]}, Y has d={Y.shape[1]}"
+        )
     return X, Y
 
 
@@ -166,12 +167,8 @@ def exact_z(X: np.ndarray, Y: np.ndarray | None = None) -> ZEstimate:
     however many keys there are.
     """
     X, Y = _operands(X, X if Y is None else Y)
-    if X.shape[1] != Y.shape[1]:
-        raise DimensionError(
-            f"inner dimensions differ: X has d={X.shape[1]}, Y has d={Y.shape[1]}"
-        )
     out = np.empty(X.shape[0])
-    for lo, hi, _, z in _score_blocks(Y, X.shape[0])(X):
+    for lo, hi, _, _, _, z in _score_blocks(Y, X.shape[0])(X):
         out[lo:hi] = z
     return ZEstimate(out, "exact")
 
@@ -296,10 +293,8 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     in place on the whole sub-block, in the calling thread.
     """
     X, Y = _operands(X, Y)
-    if X.shape[1] != fmap.W.shape[1] or Y.shape[1] != fmap.W.shape[1]:
-        raise DimensionError(
-            f"feature map expects d={fmap.W.shape[1]}, got X d={X.shape[1]}, Y d={Y.shape[1]}"
-        )
+    if X.shape[1] != fmap.W.shape[1]:
+        raise DimensionError(f"feature map expects d={fmap.W.shape[1]}, got d={X.shape[1]}")
     if variant not in ("performer", "rfa"):
         raise ValidationError(f"unknown kernel variant {variant!r}")
     rfa = variant == "rfa"

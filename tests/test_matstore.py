@@ -594,6 +594,12 @@ class TestRegularizationWeights:
         with pytest.raises(DimensionError):
             validate_regularization_weights(uniform_weights(4), n=5)
 
+    def test_rejects_complex_weights(self):
+        """A float64 cast would drop the imaginary part with only a
+        ComplexWarning."""
+        with pytest.raises(ValidationError, match="real numbers"):
+            validate_regularization_weights(np.array([0.5 + 1j, 0.5]))
+
 
 @pytest.mark.parametrize(
     "call, error, match",

@@ -114,6 +114,27 @@ class TestLabelVector:
         with pytest.raises(ValidationError, match=match):
             LabelVector(labels, kappa)
 
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            (np.array([1.5, 2.7, 1.0]), "whole numbers"),
+            (np.array([1.0, np.nan]), "whole numbers"),
+            (np.array([1.0, np.inf]), "whole numbers"),
+            (np.array([1 + 1j, 2]), "real numbers"),
+            (np.array([True, True]), "real numbers"),
+        ],
+        ids=["fractions", "nan", "inf", "complex", "bool"],
+    )
+    def test_rejects_labels_that_are_not_whole_real_numbers(self, labels, match):
+        """The int64 cast would truncate 1.5 to 1 and turn NaN into a number."""
+        with pytest.raises(ValidationError, match=match):
+            LabelVector(labels, 2)
+
+    def test_whole_float_labels_become_integers(self):
+        lv = LabelVector(np.array([2.0, 1.0, 2.0]), 2)
+        assert lv.labels.dtype == np.int64
+        np.testing.assert_array_equal(lv.labels, [2, 1, 2])
+
     def test_counts(self):
         lv = LabelVector(np.array([1, 2, 2, 3]), 3)
         np.testing.assert_array_equal(lv.counts(), [1, 2, 1])

@@ -635,8 +635,8 @@ class TestFitExact:
     )
     def test_normalizer_logz_is_log_of_exact_z(self, n, m):
         """Blocks that end inside a score block, more queries than keys, and
-        keys that ``exact_z`` scores in two or three chunks, against the
-        normalizer's whole rows."""
+        keys scored in two or three chunks: the normalizer and ``exact_z``
+        run the same score loop, so log Z keeps its bits."""
         rng = np.random.default_rng(n + m)
         X, Y = unit_rows(rng, n, 6), unit_rows(rng, m, 6)
         logz, _ = _exact_normalizer(Y)(X)
@@ -646,24 +646,29 @@ class TestFitExact:
         "n, m, d", [(777, 1333, 7), (300, 300, 16), (513, 257, 5), (2049, 2049, 32)]
     )
     def test_term_matches_reference_within_last_bits(self, n, m, d):
-        """The term runs its product on 256-row score blocks, the oracle on
-        1024-row ones, so the last bits differ at these shapes.  The largest
-        difference was 1.56e-15 x max|term| at 1 and at 2 BLAS threads
-        (777 x 1333 x 7); the oracle itself differs between 1 and 2 threads
-        by up to 2.4e-16 x max|term|."""
+        """The term adds each key chunk's exp-scores times its keys and
+        divides by Z once, after the last chunk; the oracle divides whole
+        1024-row blocks of scores by Z before one product with the keys, so
+        the last bits differ.  The largest difference was 1.46e-15 x
+        max|term| at 1 and at 2 BLAS threads (777 x 1333 x 7; 1.45e-15 at
+        300 x 300 x 16 and 513 x 257 x 5, whose keys are one chunk); the
+        oracle itself differs between 1 and 2 threads by up to 2.4e-16 x
+        max|term|."""
         rng = np.random.default_rng(n + m + d)
         X, Y = unit_rows(rng, n, d), unit_rows(rng, m, d)
         want = reference_attention_term(X, Y)
         got = softmax_weighted_term(X, Y)
         assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
-    def test_normalizer_peak_memory_is_one_score_block(self):
-        """One 256-row score buffer per epoch, normalized in place, and the
-        product written into the term rows.  2048 queries, 8192 keys, d = 32:
-        the peak was 135,030,128 bytes with two fresh 1024-row score arrays
-        per block, and is now the buffer, the term and log Z plus 19,017."""
+    @pytest.mark.parametrize("m", [8192, 20000])
+    def test_normalizer_peak_memory_is_one_score_block(self, m):
+        """One buffer of 256 score rows by one key chunk per epoch, each
+        chunk's product with its keys added into the term rows.  2048
+        queries, d = 32: beyond the term and log Z, whole 256-row blocks of
+        scores peaked at 16,793,217 bytes at 8192 keys and 40,975,664 at
+        20,000; one key chunk peaks at 4,267,113 and 7,478,296."""
         rng = np.random.default_rng(41)
-        Y = unit_rows(rng, 8192, 32)
+        Y = unit_rows(rng, m, 32)
         X = Y[:2048].copy()
         tracemalloc.start()
         try:
@@ -671,7 +676,21 @@ class TestFitExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 256 * 8192 * 8 + term.nbytes + logz.nbytes + 64 * 1024
+        assert peak <= 256 * 4095 * 8 + term.nbytes + logz.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize(
+        "Y, error, match",
+        [
+            (np.zeros((5, 4)), DimensionError, "inner dimensions differ"),
+            (np.zeros((0, 3)), ValidationError, "no rows"),
+        ],
+        ids=["other-d", "no-keys"],
+    )
+    def test_softmax_weighted_term_checks_its_keys(self, Y, error, match):
+        """The entry step of ``exact_z``; without it, keys of another width
+        raise numpy's own ValueError and keys with no rows give a NaN term."""
+        with pytest.raises(error, match=match):
+            softmax_weighted_term(np.zeros((2, 3)), Y)
 
     def test_size_guard(self):
         P = random_operator(10, 30)

@@ -36,7 +36,9 @@ def test_every_export_resolves():
 #: purpose.
 _PRIVATE_IMPORTS = {
     ("evaluate", "graphs", "_affinities"),
+    ("mixture", "matstore", "_real"),
     ("optimizer", "znorm", "_log_sum_exp"),
+    ("optimizer", "znorm", "_operands"),
     ("optimizer", "znorm", "_score_blocks"),
     ("znorm", "mixture", "_block_cuts"),
 }
