@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .matstore import ProductChain, as_csr, row_normalize
+from .matstore import ProductChain, _real, as_csr, row_normalize
 from .mixture import LabelVector
 
 
@@ -236,6 +236,19 @@ def negative_binomial_graph(
     return _symmetric_adjacency(n, u, v)
 
 
+def _whole_numbers(values, name: str) -> np.ndarray:
+    """``values`` as int64; a float entry that is not a whole number is
+    refused rather than truncated by the cast.  Integer input needs no scan."""
+    A = _real(np.asarray(values), name)
+    if A.dtype.kind == "f":
+        bad = np.flatnonzero(~((np.trunc(A) == A) & (np.abs(A) < 2.0**63)))
+        if bad.size:
+            raise ValidationError(
+                f"{name} must hold whole numbers, offending records {bad[:5].tolist()}"
+            )
+    return np.ascontiguousarray(A, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class TemporalEdgeList:
     """Weighted temporal contacts (i, j, t, w), one row per contact.
@@ -251,10 +264,8 @@ class TemporalEdgeList:
     w: np.ndarray
 
     def __post_init__(self):
-        i = np.ascontiguousarray(self.i, dtype=np.int64)
-        j = np.ascontiguousarray(self.j, dtype=np.int64)
-        t = np.ascontiguousarray(self.t, dtype=np.int64)
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
+        i, j, t = (_whole_numbers(getattr(self, name), name) for name in "ijt")
+        w = np.ascontiguousarray(_real(np.asarray(self.w), "w"), dtype=np.float64)
         for name, arr in (("i", i), ("j", j), ("t", t), ("w", w)):
             object.__setattr__(self, name, arr)
         if not (i.ndim == j.ndim == t.ndim == w.ndim == 1) or len(

@@ -236,9 +236,10 @@ class ProductChain:
             self.weights = None
         else:
             try:
-                w = np.ascontiguousarray(weights, dtype=np.float64)
+                w = np.asarray(weights)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"prefix weights must be numbers: {exc}") from exc
+            w = np.ascontiguousarray(_real(w, "prefix weights"), dtype=np.float64)
             if w.shape != (len(self.factors),):
                 raise DimensionError(
                     f"prefix weights have shape {w.shape}, expected "

@@ -93,9 +93,10 @@ class MixtureParams:
     m: int               # number of vectors the moments were estimated from
 
     def __post_init__(self):
-        pi = np.ascontiguousarray(self.pi, dtype=np.float64)
-        mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        omega = np.ascontiguousarray(self.omega, dtype=np.float64)
+        pi, mu, omega = (
+            np.ascontiguousarray(_real(np.asarray(getattr(self, name)), name), dtype=np.float64)
+            for name in ("pi", "mu", "omega")
+        )
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "omega", omega)

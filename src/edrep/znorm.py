@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .matstore import as_dense
+from .matstore import _real, as_dense
 from .mixture import MixtureParams, _block_cuts
 
 #: Scalar products beyond this magnitude would push exp() against the
@@ -30,27 +30,17 @@ _BLOCK_ROWS = 256
 #: score buffer takes at most 8 MiB however many keys there are (7.1 MiB at
 #: m = 20,000), against 39 MiB for whole 256-row blocks of scores.
 _KEY_CHUNK = 2048
-#: Key rows per feature block of :func:`kernel_z`.  The key feature mass
-#: is summed block by block, so this size fixes its last bits.
-_FEATURE_BLOCK = 4096
-#: Bytes of key features that :func:`kernel_z` holds at once.  A block is
-#: computed in sub-blocks of at most this size, each summed onto the
-#: first row of the next, and these sub-blocks define the bits of Z.
-#: They equal one projection per block wherever BLAS gives a sub-block's
-#: rows the bits of the same rows in the longer product: at the
-#: benchmark's 1048- and 2097-row sub-blocks, but not at every shape (2
-#: of 560 cases of a sweep over D from 257 to 1000 and d from 2 to 100
-#: move 1 of 50 query Z values in the last bits).  At least
-#: 8 * _FEATURE_BLOCK, so a one-column map, whose block numpy sums
-#: pairwise rather than row after row, is never split.
+#: Bytes of key features that :func:`kernel_z` holds at once.  The keys
+#: are cut into the fewest equal sub-blocks of at most this size, each
+#: summed onto the first row of the next, so the mass has the bits of
+#: features(Y).sum(axis=0) wherever BLAS gives a sub-block's rows the
+#: bits of the same rows in one product over all keys: at the benchmark's
+#: 1000- and 2000-row sub-blocks, but not at every shape (1 query Z in 1
+#: of 1000 cases of a sweep over D from 257 to 1000 and d from 2 to 100
+#: missed it by 1 ulp, at 2 threads).  A one-column map, which numpy sums
+#: pairwise rather than row after row, is split only past
+#: _FEATURE_BYTES // 8 keys.
 _FEATURE_BYTES = 16 << 20
-#: Fewest rows in the last sub-block of a :func:`kernel_z` block, which
-#: takes them from the sub-block before it.  BLAS projects the rows of a
-#: short product with other kernels than the same rows inside a long one
-#: (a lone row is a matrix-vector product), and with wide keys that moved
-#: the last bits of Z: 9 of 280 rfa cases with tails of 1 to 100 rows at
-#: D from 257 to 1000 and d from 2 to 100, against 1 with this floor.
-_TAIL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -280,17 +270,18 @@ def _exp_half_sq(V: np.ndarray) -> np.ndarray:
 def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str) -> ZEstimate:
     """Monte-Carlo estimate of the normalization constants via random features.
 
-    The key-side feature mass is accumulated once over blocks of Y, then
-    every query row costs O(D d).  ``variant`` selects ``performer``
+    The key-side feature mass is accumulated once over Y, then every
+    query row costs O(D d).  ``variant`` selects ``performer``
     (positive exponential features) or ``rfa`` (trigonometric features,
     whose signed sums are clamped to a positive floor when they fail to
     be positive; clamped rows are reported in the estimate).
 
-    The keys' features are written, one sub-block of at most
-    ``_FEATURE_BYTES`` at a time, into one buffer per call, which the
-    query features reuse when they fit; the key side holds that buffer
-    however many keys there are.  Both maps run their elementwise passes
-    in place on the whole sub-block, in the calling thread.
+    The keys' features are written, one of the fewest equal sub-blocks
+    of at most ``_FEATURE_BYTES`` at a time, into one buffer per call,
+    which the query features reuse when they fit; the key side holds
+    that buffer however many keys there are.  Both maps run their
+    elementwise passes in place on the whole sub-block, in the calling
+    thread.
     """
     X, Y = _operands(X, Y)
     if X.shape[1] != fmap.W.shape[1]:
@@ -301,31 +292,23 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     features = _rfa_features if rfa else _performer_features
 
     width = 2 * fmap.D if rfa else fmap.D
-    rows = min(_FEATURE_BLOCK, max(1, _FEATURE_BYTES // (8 * width)))
-    buf = np.empty((min(rows, Y.shape[0]), width))
-    mass = np.zeros(width)
-    for start in range(0, Y.shape[0], _FEATURE_BLOCK):
-        stop = min(start + _FEATURE_BLOCK, Y.shape[0])
-        # A short last sub-block takes rows from the one before it, which
-        # keeps at least as many.
-        cuts = [*range(start, stop, rows), stop]
-        tail = min(_TAIL_ROWS, rows // 2)
-        if len(cuts) > 2 and stop - cuts[-2] < tail:
-            cuts[-2] = stop - tail
-        carry = None
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            sub = Y[lo:hi]
-            grow = _exp_half_sq(sub) if rfa else None
-            phi = features(sub, fmap.W, buf)
-            if rfa:
-                phi *= grow[:, None]
-            # numpy sums a C-contiguous block of two or more columns row
-            # after row, so carrying the sum so far onto the first row
-            # gives the whole block's phi.sum(axis=0), bit for bit.
-            if carry is not None:
-                phi[0] += carry
-            carry = phi.sum(axis=0)
-        mass += carry
+    m = Y.shape[0]
+    parts = -(-m // max(1, _FEATURE_BYTES // (8 * width)))
+    cuts = [m * k // parts for k in range(parts + 1)]
+    buf = np.empty((-(-m // parts), width))
+    mass = None
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sub = Y[lo:hi]
+        grow = _exp_half_sq(sub) if rfa else None
+        phi = features(sub, fmap.W, buf)
+        if rfa:
+            phi *= grow[:, None]
+        # numpy sums a C-contiguous block of two or more columns row
+        # after row, so carrying the sum so far onto the first row gives
+        # the sum over all keys' phi, bit for bit.
+        if mass is not None:
+            phi[0] += mass
+        mass = phi.sum(axis=0)
 
     if X.shape[0] > buf.shape[0]:
         buf = np.empty((X.shape[0], width))
@@ -376,7 +359,7 @@ def concentration_probe(
     three-column table (m, mean of Z/m, sample std of Z/m over
     ``repeats`` independent draws).
     """
-    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    x = np.ascontiguousarray(_real(np.asarray(x), "x"), dtype=np.float64).ravel()
     if repeats < 2:
         raise ValidationError("need at least 2 repeats for a standard deviation")
     m_grid = [int(m) for m in m_grid]

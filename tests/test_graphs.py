@@ -620,3 +620,26 @@ class TestTemporalEdgeList:
         i, j = columns
         with pytest.raises(ValidationError, match=match):
             TemporalEdgeList(i=i, j=j, t=np.ones(i.size), w=np.ones(i.size))
+
+    @pytest.mark.parametrize(
+        "column, values, match",
+        [
+            ("i", [0.0, 1.5], r"i must hold whole numbers, offending records \[1\]"),
+            ("t", [1.9, 1.0], r"t must hold whole numbers, offending records \[0\]"),
+            ("t", [1.0, np.nan], r"t must hold whole numbers, offending records \[1\]"),
+            ("t", [1.0, 2.0**63], r"t must hold whole numbers, offending records \[1\]"),
+            ("j", [True, False], "j must hold real numbers, got dtype bool"),
+            ("w", [1.0 + 1j, 1.0], "w must hold real numbers, got dtype complex128"),
+        ],
+        ids=["fraction", "fraction-snapshot", "nan-snapshot", "past-int64", "bool", "complex"],
+    )
+    def test_columns_that_are_not_whole_real_numbers_rejected(self, column, values, match):
+        """The int64 and float64 casts would truncate 1.5 to 1, turn NaN
+        into an arbitrary integer and drop an imaginary part; whole
+        floats are kept as their integers."""
+        columns = {"i": [0.0, 1.0], "j": [1, 2], "t": [1.0, 1.0], "w": [1.0, 1.0]}
+        edges = TemporalEdgeList(**{k: np.array(v) for k, v in columns.items()})
+        np.testing.assert_array_equal(edges.i, [0, 1])
+        columns[column] = values
+        with pytest.raises(ValidationError, match=match):
+            TemporalEdgeList(**{k: np.array(v) for k, v in columns.items()})

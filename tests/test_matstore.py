@@ -609,6 +609,8 @@ class TestRegularizationWeights:
         (lambda: ProductChain([sp.eye(2)], weights=[[1.0]]), DimensionError, "prefix weights"),
         (lambda: ProductChain([]), ValidationError, "at least one factor"),
         (lambda: ProductChain([sp.eye(2)], weights=[np.nan]), ValidationError, "finite"),
+        (lambda: ProductChain([sp.eye(2)], weights=np.array([1 + 1j])), ValidationError,
+         "prefix weights must hold real numbers, got dtype complex128"),
         (lambda: ProductChain([sp.csr_matrix(np.ones((2, 3)))], weights=[1.0]), DimensionError,
          "square"),
         (lambda: ProductChain([sp.eye(4)]).apply_transpose(np.zeros((5, 2))), DimensionError,
@@ -617,7 +619,7 @@ class TestRegularizationWeights:
          ValidationError, r"rectangular matrix: rows \[1\]"),
     ],
     ids=["dense-3d", "csr-non-finite", "weights-not-vector", "no-factors", "weights-non-finite",
-         "weighted-non-square", "transpose-operand-rows", "rectangular-empty-rows"],
+         "weights-complex", "weighted-non-square", "transpose-operand-rows", "rectangular-empty-rows"],
 )
 def test_malformed_input_rejected(call, error, match):
     with pytest.raises(error, match=match):

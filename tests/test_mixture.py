@@ -523,8 +523,15 @@ class TestMixtureParamsChecks:
             (np.ones(1), np.zeros((1, 2)), np.zeros((1, 3, 3)), 1, "disagree"),
             (np.ones(1), np.zeros((1, 2)), np.zeros((1, 2, 2)), 0, "m must be positive"),
             (np.full(2, 0.4), np.zeros((2, 2)), np.zeros((2, 2, 2)), 2, "sum to 1"),
+            (np.ones(1, dtype=bool), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1,
+             "pi must hold real numbers, got dtype bool"),
+            (np.ones(1), np.array([[1j, 0.0]]), np.zeros((1, 2, 2)), 1,
+             "mu must hold real numbers, got dtype complex128"),
+            (np.ones(1), np.zeros((1, 2)), np.eye(2)[None] * (1 + 1j), 1,
+             "omega must hold real numbers, got dtype complex128"),
         ],
-        ids=["ranks", "pi-length", "omega-shape", "m-zero", "pi-sum"],
+        ids=["ranks", "pi-length", "omega-shape", "m-zero", "pi-sum", "pi-bool", "mu-complex",
+             "omega-complex"],
     )
     def test_malformed_parameters_rejected(self, pi, mu, omega, m, match):
         with pytest.raises(ValidationError, match=match):

@@ -36,10 +36,12 @@ def test_every_export_resolves():
 #: purpose.
 _PRIVATE_IMPORTS = {
     ("evaluate", "graphs", "_affinities"),
+    ("graphs", "matstore", "_real"),
     ("mixture", "matstore", "_real"),
     ("optimizer", "znorm", "_log_sum_exp"),
     ("optimizer", "znorm", "_operands"),
     ("optimizer", "znorm", "_score_blocks"),
+    ("znorm", "matstore", "_real"),
     ("znorm", "mixture", "_block_cuts"),
 }
 

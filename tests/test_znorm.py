@@ -34,10 +34,12 @@ from edrep.znorm import (
 )
 
 
-def reference_kernel_z(X, Y, fmap, variant):
-    """``kernel_z`` as it was before the feature buffer: fresh arrays for
-    every key block, the query features in one array, all in one thread.
-    The library must match it bit for bit."""
+def reference_kernel_z(X, Y, fmap, variant, magnitude=False):
+    """``kernel_z`` by its definition: fresh arrays, the features of all
+    keys in one product and summed in one call, the query features in
+    one array, all in one thread.  With ``magnitude``, the sum of the
+    terms' magnitudes instead: Z itself for performer, whose terms are
+    positive, and far above Z where rfa's signed terms cancel."""
 
     def guard(S):
         if max(S.max(initial=0.0), -S.min(initial=0.0)) > EXP_GUARD:
@@ -50,18 +52,16 @@ def reference_kernel_z(X, Y, fmap, variant):
 
     def rfa(V, W):
         proj = V @ W.T
-        return np.concatenate([np.cos(proj), np.sin(proj)], axis=1) / np.sqrt(W.shape[0])
+        phi = np.concatenate([np.cos(proj), np.sin(proj)], axis=1)
+        return (np.abs(phi) if magnitude else phi) / np.sqrt(W.shape[0])
 
     feats = performer if variant == "performer" else rfa
-    mass = np.zeros(2 * fmap.D if variant == "rfa" else fmap.D)
-    for start in range(0, Y.shape[0], 4096):
-        block = Y[start : start + 4096]
-        phi = feats(block, fmap.W)
-        if variant == "rfa":
-            sq = 0.5 * np.sum(block * block, axis=1)
-            guard(sq)
-            phi = phi * np.exp(sq)[:, None]
-        mass += phi.sum(axis=0)
+    phi = feats(Y, fmap.W)
+    if variant == "rfa":
+        sq = 0.5 * np.sum(Y * Y, axis=1)
+        guard(sq)
+        phi = phi * np.exp(sq)[:, None]
+    mass = phi.sum(axis=0)
     vals = feats(X, fmap.W) @ mass
     if variant == "rfa":
         sq = 0.5 * np.sum(X * X, axis=1)
@@ -339,22 +339,23 @@ class TestKernelZ:
         D=st.integers(1, 40),
         scale=st.sampled_from([0.1, 1.0, 3.0]),
         seed=st.integers(0, 2**16),
-        budget=st.sampled_from([None, 8 * 4096, 8 * 8192]),
+        budget=st.sampled_from([None, 8 * 9000, 8 * 16384]),
     )
-    @example(m=9000, n=300, d=3, D=1, scale=1.0, seed=1, budget=8 * 4096)
-    @example(m=9000, n=300, d=3, D=2, scale=1.0, seed=2, budget=8 * 4096)
-    @example(m=1025, n=300, d=2, D=2, scale=1.0, seed=2, budget=8 * 4096)
+    @example(m=9000, n=300, d=3, D=1, scale=1.0, seed=1, budget=8 * 9000)
+    @example(m=9000, n=300, d=3, D=2, scale=1.0, seed=2, budget=8 * 9000)
+    @example(m=1025, n=300, d=2, D=9, scale=1.0, seed=2, budget=8 * 9000)
     @example(m=2049, n=3, d=4, D=1024, scale=1.0, seed=3, budget=None)
     @example(m=3000, n=3, d=4, D=1024, scale=1.0, seed=4, budget=None)
     @example(m=9000, n=3, d=4, D=1024, scale=1.0, seed=5, budget=None)
     def test_bitwise_equal_to_allocating_reference(self, m, n, d, D, scale, seed, budget):
-        """Key counts cross the 4096-row block edge and the sub-block
-        edges inside a block, and m = 1025 or 2049 leaves one row past a
-        sub-block edge, which must not be projected on its own; queries
-        outgrow the key buffer when m is small.  The smallest budgets split every block of two or
-        more columns (2048 rows at width 2) and keep a one-column block,
-        which numpy sums pairwise, whole; at D = 1024 the real budget cuts
-        2048-row performer and 1024-row rfa sub-blocks."""
+        """Key counts cross the sub-block sizes, and m = 1025 (D = 9) or
+        2049 (D = 1024), one row past a 1000- or 2048-row budget, is cut
+        into equal parts, not a lone row projected on its own; queries
+        outgrow the key buffer when m is small.  The patched budgets split the keys
+        of every map of two or more columns (4500 rows at width 2) and
+        keep a one-column map, which numpy sums pairwise, whole; at
+        D = 1024 the real budget cuts performer keys into sub-blocks of
+        at most 2048 rows and rfa keys into sub-blocks of at most 1024."""
         rng = np.random.default_rng(seed)
         Y = rng.standard_normal((m, d)) * scale / np.sqrt(d)
         X = rng.standard_normal((n, d)) * scale / np.sqrt(d)
@@ -371,6 +372,45 @@ class TestKernelZ:
                 np.testing.assert_array_equal(got, clamped)
             assert exact_z(X, Y).values.tobytes() == expected_exact
 
+    @settings(max_examples=40)
+    @given(
+        m=st.integers(1, 4000),
+        n=st.sampled_from([1, 50]),
+        d=st.integers(1, 100),
+        D=st.integers(1, 1000),
+        scale=st.sampled_from([0.1, 1.0, 3.0]),
+        seed=st.integers(0, 2**16),
+        budget=st.sampled_from([None, 128 << 10, 1 << 20]),
+    )
+    @example(m=3515, n=50, d=8, D=300, scale=1.0, seed=300100, budget=None)
+    @example(m=1081, n=50, d=89, D=470, scale=1.0, seed=48123, budget=256 << 10)
+    @example(m=1579, n=50, d=94, D=390, scale=3.0, seed=5775, budget=4 << 20)
+    def test_wide_keys_stay_within_ulps_of_one_product(self, m, n, d, D, scale, seed, budget):
+        """Past the bitwise test's d <= 6, BLAS can give a sub-block's rows
+        other bits than the same rows inside one product over all keys: a
+        projection p moves by a few ulps of the sum P of its terms'
+        magnitudes, exp turns that into a relative change of as many ulps
+        times P, and rfa's signed terms can cancel to a Z far below their
+        magnitudes.  So each Z is held within 8 (1 + P) ulps of
+        S, the sum of its terms' magnitudes (Z itself for performer), P
+        the largest over the keys.  Measured: at most 2.0 (1 + P) ulps of S in 1000 uniform
+        draws of this space at each of 1 and 2 threads, and 2.65 in the
+        last example at 2 threads, where the examples miss the one
+        product by 1, 6 and 116 ulps of Z."""
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((m, d)) * scale / np.sqrt(d)
+        X = rng.standard_normal((n, d)) * scale / np.sqrt(d)
+        fmap = KernelFeatureMap.from_seed(d, D, seed)
+        P = 1 + (np.abs(Y) @ np.abs(fmap.W).T).max()
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(znorm, "_FEATURE_BYTES", budget)
+            for variant in ("performer", "rfa"):
+                values, _ = reference_kernel_z(X, Y, fmap, variant)
+                S, _ = reference_kernel_z(X, Y, fmap, variant, magnitude=True)
+                z = kernel_z(X, Y, fmap, variant).values
+                assert np.all(np.abs(z - values) <= 8 * P * np.spacing(S))
+
     @pytest.mark.parametrize(
         "D, d, m, seed",
         [
@@ -386,8 +426,8 @@ class TestKernelZ:
         """Wide keys and 1 to 4 rows past the budget's 4080, 3495, 2621 or
         1747-row rfa sub-blocks: projected on their own, such rows can
         take other bits than inside the block's one product, and a query
-        Z misses the reference, unless the tail takes rows from the
-        sub-block before it, up to _TAIL_ROWS."""
+        Z misses the one product; the fewest equal sub-blocks leave no
+        such short sub-block."""
         rng = np.random.default_rng(seed)
         Y = rng.standard_normal((m, d)) / np.sqrt(d)
         X = rng.standard_normal((50, d)) / np.sqrt(d)
@@ -431,7 +471,6 @@ class TestKernelZ:
         fmap = KernelFeatureMap.from_seed(d, 1024, 1)
         width = 2 * fmap.D if variant == "rfa" else fmap.D
         rows = znorm._FEATURE_BYTES // (8 * width)
-        assert rows < znorm._FEATURE_BLOCK
         peaks = []
         for m in (8192, 32768):
             Y = unit_rows(rng.standard_normal((m, d)))
@@ -470,9 +509,9 @@ class TestKernelZ:
 
 class TestCarriedColumnSum:
     """The numpy property behind ``kernel_z``'s sub-blocks: a C-contiguous
-    block of two or more columns is summed along axis 0 one row after
+    array of two or more columns is summed along axis 0 one row after
     another, so the sum of each sub-block, carried onto the first row of
-    the next, ends as the whole block's sum bit for bit.  A numpy whose
+    the next, ends as the sum over all rows bit for bit.  A numpy whose
     axis-0 reduction sums in another order fails here first."""
 
     @pytest.mark.parametrize("width", range(2, 65))
@@ -491,9 +530,25 @@ class TestCarriedColumnSum:
                 carry = sub.sum(axis=0)
             assert carry.tobytes() == expected, f"{rows}-row sub-blocks"
 
-    def test_one_column_blocks_are_never_split(self):
-        # numpy sums a one-column block pairwise, where the carry is not exact.
-        assert znorm._FEATURE_BYTES // 8 >= znorm._FEATURE_BLOCK
+    def test_one_column_blocks_are_never_split(self, monkeypatch):
+        """numpy sums one column pairwise, where the carry is not exact, so
+        a one-column performer map is cut only past _FEATURE_BYTES // 8
+        keys."""
+        monkeypatch.setattr(znorm, "_FEATURE_BYTES", 8 * 4096)
+        projected = []
+        features = znorm._performer_features
+
+        def counted(V, W, out):
+            projected.append(V.shape[0])
+            return features(V, W, out)
+
+        monkeypatch.setattr(znorm, "_performer_features", counted)
+        fmap = KernelFeatureMap.from_seed(2, 1, 0)
+        Y = np.full((4097, 2), 0.1)
+        for m, cuts in ((4096, [4096]), (4097, [2048, 2049])):
+            projected.clear()
+            kernel_z(Y[:1], Y[:m], fmap, "performer")
+            assert projected == [*cuts, 1]
 
 
 class TestCarriedCompensatedSum:
@@ -569,6 +624,12 @@ class TestInputChecks:
     def test_concentration_probe_needs_two_repeats(self):
         with pytest.raises(ValidationError, match="2 repeats"):
             concentration_probe(lambda m, rng: np.zeros((m, 2)), np.ones(2), [4], 1)
+
+    def test_concentration_probe_query_must_be_real(self):
+        """A float64 cast would drop the imaginary part with only a
+        ComplexWarning."""
+        with pytest.raises(ValidationError, match="x must hold real numbers"):
+            concentration_probe(lambda m, rng: np.zeros((m, 2)), np.array([0.1 + 1j, 0.2]), [4], 2)
 
 
 class TestErrorCdf:
