@@ -40,6 +40,18 @@ def _block_cuts(n: int, width: int) -> list[int]:
     return [*range(0, max(1, n // width) * width, width), n]
 
 
+def _row_sq_norms(Y: np.ndarray) -> np.ndarray:
+    """|y|^2 per row of Y, summed per ``_block_cuts`` block of
+    ``_LLOYD_BLOCK`` rows, so no Y-sized Y * Y is made; each row's sum is
+    its own, so it keeps the bits of one sum over all rows."""
+    cuts = _block_cuts(Y.shape[0], _LLOYD_BLOCK)
+    out = np.empty(Y.shape[0])
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        b = Y[lo:hi]
+        np.sum(b * b, axis=1, out=out[lo:hi])
+    return out
+
+
 def check_kappa(kappa: int, rows: int, what: str) -> None:
     """A mixture of order kappa needs at least one row of ``what`` per class."""
     if not 1 <= kappa <= rows:
@@ -205,11 +217,7 @@ def kmeans_label(Y: np.ndarray, kappa: int, seed: int, restarts: int = 1) -> Lab
         return LabelVector(np.ones(n, dtype=np.int64), 1)
     rng = np.random.default_rng(seed)
     cuts = _block_cuts(n, _LLOYD_BLOCK)
-    # Per block of rows, so no Y-sized Y * Y; each row's sum keeps its bits.
-    sq_norms = np.empty(n)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        b = Y[lo:hi]
-        np.sum(b * b, axis=1, out=sq_norms[lo:hi])
+    sq_norms = _row_sq_norms(Y)
     best_labels, best_inertia = None, np.inf
     for _ in range(restarts):
         labels, centers = _lloyd(Y, sq_norms, kappa, rng, cuts)

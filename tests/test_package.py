@@ -43,6 +43,7 @@ _PRIVATE_IMPORTS = {
     ("optimizer", "znorm", "_score_blocks"),
     ("znorm", "matstore", "_real"),
     ("znorm", "mixture", "_block_cuts"),
+    ("znorm", "mixture", "_row_sq_norms"),
 }
 
 

@@ -34,12 +34,15 @@ from edrep.znorm import (
 )
 
 
-def reference_kernel_z(X, Y, fmap, variant, magnitude=False):
+def reference_kernel_z(X, Y, fmap, variant, magnitude=False, trig=False):
     """``kernel_z`` by its definition: fresh arrays, the features of all
     keys in one product and summed in one call, the query features in
     one array, all in one thread.  With ``magnitude``, the sum of the
     terms' magnitudes instead: Z itself for performer, whose terms are
-    positive, and far above Z where rfa's signed terms cancel."""
+    positive, and far above Z where rfa's signed terms cancel.  Rfa's
+    features take ``kernel_z``'s half-angle passes, t = tan(Wv/2),
+    q = 2k / (1 + t^2) with k = 1/sqrt(D), [q - k, t q]; with ``trig``,
+    they are [cos(Wv), sin(Wv)] / sqrt(D) instead."""
 
     def guard(S):
         if max(S.max(initial=0.0), -S.min(initial=0.0)) > EXP_GUARD:
@@ -51,9 +54,15 @@ def reference_kernel_z(X, Y, fmap, variant, magnitude=False):
         return np.exp(expo) / np.sqrt(W.shape[0])
 
     def rfa(V, W):
-        proj = V @ W.T
-        phi = np.concatenate([np.cos(proj), np.sin(proj)], axis=1)
-        return (np.abs(phi) if magnitude else phi) / np.sqrt(W.shape[0])
+        if trig:
+            proj = V @ W.T
+            phi = np.concatenate([np.cos(proj), np.sin(proj)], axis=1) / np.sqrt(W.shape[0])
+        else:
+            k = 1 / np.sqrt(W.shape[0])
+            t = np.tan(V @ (0.5 * W.T))
+            q = 2 * k / (1 + t * t)
+            phi = np.concatenate([q - k, t * q], axis=1)
+        return np.abs(phi) if magnitude else phi
 
     feats = performer if variant == "performer" else rfa
     phi = feats(Y, fmap.W)
@@ -289,6 +298,44 @@ class TestKernelZ:
         z = kernel_z(X, X, fmap, "rfa")
         np.testing.assert_allclose(z.values, [3.0, 3.0, 3.0], rtol=1e-12)
 
+    @given(theta=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
+    @example(theta=[0.0, math.pi, -math.pi])  # math.pi / 2 is the double nearest pi/2
+    @example(theta=[j * math.pi + e for j in (-317, -3, -1, 1, 3, 317) for e in (-1e-9, 1e-9)])
+    def test_rfa_features_match_cos_and_sin(self, theta):
+        """The half-angle features against [cos, sin] / sqrt(D), one angle
+        per feature.  q's two roundings (1 + t^2 and the divide) put up to
+        2 eps/sqrt(D) on a cos feature near angle 0, the reference's cos
+        and division up to 0.75 more, and k = 1/sqrt(D) against dividing
+        by sqrt(D) up to 0.5: 3.5 eps/sqrt(D) per feature.  The largest
+        seen, in 200,000-row draws at each D up to 64 and at 1000, was
+        2.98 eps/sqrt(D) for cos and 2.0 for sin."""
+        theta = np.array(theta)
+        D = theta.size
+        phi = znorm._rfa_features(np.ones((1, 1)), theta[:, None], np.empty((1, 2 * D)))[0]
+        bound = 3.5 * np.finfo(np.float64).eps / np.sqrt(D)
+        assert np.all(np.abs(phi[:D] - np.cos(theta) / np.sqrt(D)) <= bound)
+        assert np.all(np.abs(phi[D:] - np.sin(theta) / np.sqrt(D)) <= bound)
+        zero = theta == 0  # either sign: the product's sum makes -0 a +0
+        assert phi[:D][zero].tobytes() == np.full(zero.sum(), 1 / np.sqrt(D)).tobytes()
+        assert np.all(phi[D:][zero] == 0)
+
+    def test_rfa_never_calls_sin_or_cos(self):
+        """numpy's sin and cos are scalar loops, each several times slower
+        than the one tan per feature that the half-angle form takes."""
+
+        def scalar_loop(*args, **kwargs):
+            raise AssertionError("kernel_z called np.sin or np.cos")
+
+        rng = np.random.default_rng(15)
+        Y = unit_rows(rng.standard_normal((300, 4)))
+        fmap = KernelFeatureMap.from_seed(4, 64, 0)
+        values, _ = reference_kernel_z(Y[:10], Y, fmap, "rfa")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "sin", scalar_loop)
+            mp.setattr(np, "cos", scalar_loop)
+            z = kernel_z(Y[:10], Y, fmap, "rfa")
+        assert z.values.tobytes() == values.tobytes()
+
     def test_performer_error_shrinks_with_feature_count(self):
         """Oracle: exact_z; Monte-Carlo error must drop when the feature
         count is multiplied by 100."""
@@ -396,7 +443,10 @@ class TestKernelZ:
         the largest over the keys.  Measured: at most 2.0 (1 + P) ulps of S in 1000 uniform
         draws of this space at each of 1 and 2 threads, and 2.65 in the
         last example at 2 threads, where the examples miss the one
-        product by 1, 6 and 116 ulps of Z."""
+        product by 1, 6 and 116 ulps of Z.  Rfa is held to its cos/sin
+        definition, not to ``kernel_z``'s half-angle features: at most
+        1.95 (1 + P) ulps of S in 300 uniform draws at 1 thread and 1.78
+        at 2."""
         rng = np.random.default_rng(seed)
         Y = rng.standard_normal((m, d)) * scale / np.sqrt(d)
         X = rng.standard_normal((n, d)) * scale / np.sqrt(d)
@@ -406,8 +456,8 @@ class TestKernelZ:
             if budget is not None:
                 mp.setattr(znorm, "_FEATURE_BYTES", budget)
             for variant in ("performer", "rfa"):
-                values, _ = reference_kernel_z(X, Y, fmap, variant)
-                S, _ = reference_kernel_z(X, Y, fmap, variant, magnitude=True)
+                values, _ = reference_kernel_z(X, Y, fmap, variant, trig=True)
+                S, _ = reference_kernel_z(X, Y, fmap, variant, magnitude=True, trig=True)
                 z = kernel_z(X, Y, fmap, variant).values
                 assert np.all(np.abs(z - values) <= 8 * P * np.spacing(S))
 
@@ -461,9 +511,9 @@ class TestKernelZ:
     def test_peak_memory_is_one_feature_block(self, variant, threads, monkeypatch):
         """The projection is written into the budgeted feature buffer and
         the passes run in place, so the only other large array is the
-        per-sub-block |v|^2 product of the key rows; four times the keys
-        take no more memory, with one or two usable cores for the product
-        pool alike."""
+        |v|^2 product of at most one sub-block's key rows; four times the
+        keys take no more memory, with one or two usable cores for the
+        product pool alike."""
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.setattr(matstore, "_usable_cores", lambda: threads)
         rng = np.random.default_rng(12)
@@ -484,6 +534,26 @@ class TestKernelZ:
                 tracemalloc.stop()
         assert peaks[0] <= rows * width * 8 + rows * d * 8 + 256 * 1024
         assert peaks[1] <= peaks[0] + 4096
+
+    @pytest.mark.parametrize("variant", ["performer", "rfa"])
+    def test_narrow_map_makes_no_key_sized_square(self, variant):
+        """A map narrower than the keys puts all 20,000 keys in one
+        sub-block; their |v|^2 is summed per block of 2048 to 4095 rows, so
+        no 16 MB copy of Y * Y is made (tracemalloc: 16.9 MiB for
+        performer and 18.5 MiB for rfa before, 4.4 and 6.0 MiB after)."""
+        rng = np.random.default_rng(14)
+        d = 100
+        Y = unit_rows(rng.standard_normal((20000, d)))
+        fmap = KernelFeatureMap.from_seed(d, 10, 1)
+        width = 2 * fmap.D if variant == "rfa" else fmap.D
+        kernel_z(Y[:10], Y, fmap, variant)  # warms up outside the trace
+        tracemalloc.start()
+        try:
+            kernel_z(Y[:10], Y, fmap, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= Y.shape[0] * width * 8 + (2 * _LLOYD_BLOCK - 1) * d * 8 + 256 * 1024
 
     def test_feature_passes_never_reach_the_product_pool(self, monkeypatch):
         """Two usable cores would split a pool-run pass into two ranges;
