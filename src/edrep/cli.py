@@ -4,7 +4,7 @@ Subcommands: estimate-z, fit, fit-exact, dcsbm-bench, deviation, supra,
 concentration.  Every option can come from a flat key = value config
 file (--config); explicit flags win over the file, the file wins over
 built-in defaults.  EDREP_SEED provides the default seed.  Exit codes:
-0 success, 1 usage error, 2 validation error, 3 numeric error.
+0 success, 1 usage error, 2 invalid input or output, 3 numeric error.
 
 Every handler checks its options, and builds its config objects, before
 its first expensive call; checks that need the input run right after it
@@ -177,6 +177,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             f"missing required option(s) for {command}: "
             + ", ".join(f"--{m}" for m in missing)
         )
+    # The output directory is made at the first write, under its nearest existing ancestor.
+    ancestor = Path(resolved["out"])
+    while not os.path.exists(ancestor):
+        ancestor = ancestor.parent
+    if not os.path.isdir(ancestor):
+        raise ValidationError(f"--out {resolved['out']}: {ancestor} is not a directory")
     return resolved
 
 
@@ -444,6 +450,11 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"edrep: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        # An error on opening names its file; one while writing only the error.
+        path = exc.filename or resolved["out"]
+        print(f"edrep: validation error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

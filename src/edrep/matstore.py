@@ -7,14 +7,15 @@ row-oriented (operator application, per-row gradients, row sums).
 sparse factors that are applied right to left, so the full operator is
 never materialized.
 
-Each factor product is split into contiguous row ranges that run on a
-shared thread pool, sized by ``product_threads``; every output row is
-computed exactly as in a serial product, so results do not depend on the
-thread count.  Transposed products use an explicit CSR transpose of each
-distinct factor, built on the first call and cached on the chain, so
-they split by rows too.  A one-factor chain also serves P'X a row range
-at a time from that transpose, so the epoch loop of a fit holds one
-block of it, never the whole n x d product.
+Each factor product is split into contiguous row ranges, one per thread
+of ``product_threads``: the calling thread runs the last, a shared pool
+the others.  Every output row is computed exactly as in a serial
+product, so results do not depend on the thread count.  Transposed
+products use an explicit CSR transpose of each distinct factor, built
+on the first call and cached on the chain, so they split by rows too.
+A one-factor chain also serves P'X a row range at a time from that
+transpose, so the epoch loop of a fit holds one block of it, never the
+whole n x d product.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ def as_csr(A, name: str = "matrix") -> sp.csr_matrix:
     return M
 
 
-def validate_regularization_weights(p0, n: int | None = None) -> np.ndarray:
-    """Check that ``p0`` is a nonnegative vector summing to 1 within 1e-12."""
+def validate_regularization_weights(p0, n: int) -> np.ndarray:
+    """Check that ``p0`` is a nonnegative vector of length ``n`` summing
+    to 1 within 1e-12."""
     w = np.ascontiguousarray(_real(np.asarray(p0), "regularization weights"), dtype=np.float64)
     if w.ndim != 1:
         raise ValidationError("regularization weights must be a vector")
-    if n is not None and w.size != n:
+    if w.size != n:
         raise DimensionError(f"regularization weights have length {w.size}, expected {n}")
     if w.size == 0 or np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValidationError("regularization weights must be finite and nonnegative")
@@ -136,24 +138,6 @@ def _executor():
         return _pool
 
 
-def _run_ranges(fn, cuts) -> list:
-    """``[fn(a, b) ...]`` over the consecutive ranges of ``cuts``, in order.
-
-    Every range but the last goes to the product pool and the calling
-    thread runs the last one itself.  The call returns, or raises the
-    first error of a range, only after every range has finished, so no
-    range still writes to its output once the caller sees the error.
-    """
-    ranges = list(zip(cuts[:-1], cuts[1:]))
-    pool = _executor()
-    futures = [pool.submit(fn, a, b) for a, b in ranges[:-1]]
-    try:
-        last = fn(*ranges[-1])
-    finally:
-        wait(futures)
-    return [future.result() for future in futures] + [last]
-
-
 def _add_rows(f: sp.csr_matrix, x: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
     """Add rows a:b of ``f @ X`` into ``out``, C-contiguous of shape
     (b - a, columns of X); ``x`` is X raveled.  scipy's CSR kernel
@@ -177,7 +161,9 @@ def spmm(
     kernel, the one behind ``f @ X``, on views of the factor's arrays and
     adds straight into its slice of the output, so nothing is copied.  A
     row's products are summed in the same order as in ``f @ X``, so the
-    result is bitwise the same.
+    result is bitwise the same.  The call returns, or raises the first
+    error of a range, only after every range has finished, so no range
+    still writes to ``out`` once the caller sees the error.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     n, d = f.shape[0], X.shape[1]
@@ -189,14 +175,18 @@ def spmm(
     if threads == 1:
         _add_rows(f, x, 0, n, out)
         return out
-
-    def rows(a, b):
-        _add_rows(f, x, a, b, out[a:b])
-
     # Targets in the pointers' own dtype: a float or wider search would
     # copy the whole pointer array.
     targets = ((np.arange(1, threads) * f.nnz + threads - 1) // threads).astype(f.indptr.dtype)
-    _run_ranges(rows, [0, *np.searchsorted(f.indptr, targets).tolist(), n])
+    cuts = [0, *np.searchsorted(f.indptr, targets).tolist(), n]
+    pool = _executor()
+    futures = [pool.submit(_add_rows, f, x, a, b, out[a:b]) for a, b in zip(cuts[:-2], cuts[1:-1])]
+    try:
+        _add_rows(f, x, cuts[-2], n, out[cuts[-2] :])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
     return out
 
 
@@ -420,7 +410,7 @@ def as_chain(P) -> ProductChain:
     """Wrap a sparse/dense matrix as a one-factor chain; pass chains through."""
     if isinstance(P, ProductChain):
         return P
-    return ProductChain([as_csr(P)])
+    return ProductChain([P])
 
 
 def row_normalize(A) -> sp.csr_matrix:

@@ -95,8 +95,8 @@ class LabelVector:
 class MixtureParams:
     """Per-class fraction, mean and covariance of m embedding vectors.
 
-    ``live`` (the classes with a nonzero covariance) and ``omega_stack``
-    (their covariances side by side, d x len(live) d) are derived once.
+    ``omega_stack`` (every class covariance side by side, d x kappa d) is
+    derived once; a singleton class adds a zero block.
     """
 
     pi: np.ndarray       # (kappa,)
@@ -124,23 +124,17 @@ class MixtureParams:
                 raise ValidationError(f"mixture parameter {name} contains non-finite entries")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValidationError("class fractions must be nonnegative and sum to 1")
-        # An all-zero covariance (a singleton class) is symmetric PSD as it
-        # stands; only the others need the checks.
-        live = np.flatnonzero(omega.any(axis=(1, 2)))
-        cov = omega[live]
-        object.__setattr__(self, "live", live)
-        # reshape(d, -1) would fail at d = 0.
-        object.__setattr__(self, "omega_stack", cov.transpose(1, 0, 2).reshape(d, live.size * d))
-        if live.size == 0:
-            return
-        asym = np.abs(cov - cov.transpose(0, 2, 1)).max()
+        # reshape(d, -1) would fail at d = 0, and so would the reductions
+        # below without an initial value.
+        object.__setattr__(self, "omega_stack", omega.transpose(1, 0, 2).reshape(d, k * d))
+        asym = np.abs(omega - omega.transpose(0, 2, 1)).max(initial=0.0)
         if asym > 1e-12:
             raise ValidationError(f"covariances asymmetric by {asym:.3e}")
-        lows = np.linalg.eigvalsh(cov).min(axis=1)
+        lows = np.linalg.eigvalsh(omega).min(axis=1, initial=0.0)
         bad = np.flatnonzero(lows < PSD_EIG_TOL)
         if bad.size:
             raise ValidationError(
-                f"covariance of class {live[bad[0]] + 1} has eigenvalue {lows[bad[0]]:.3e}"
+                f"covariance of class {bad[0] + 1} has eigenvalue {lows[bad[0]]:.3e}"
             )
 
     @property
@@ -188,7 +182,12 @@ def estimate_mixture(Y: np.ndarray, labels: LabelVector) -> MixtureParams:
 
 
 def singleton_mixture(Y: np.ndarray) -> MixtureParams:
-    """The point-mass mixture with one zero-covariance component per row."""
+    """The point-mass mixture with one zero-covariance component per row.
+
+    Every class has its zero block in ``omega_stack``, so ``approx_z`` of
+    n queries against it costs O(n m d^2), and the parameter checks
+    O(m d^3): trivial at the n, m <= 100, d = 8 of criterion 9.
+    """
     Y = as_dense(Y)
     m, d = Y.shape
     return MixtureParams(

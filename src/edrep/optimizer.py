@@ -204,8 +204,8 @@ def _mixture_normalizer(params: MixtureParams):
     def normalize(X):
         logz, r, XO = _mixture_logz(params, X)
         term = r @ params.mu
-        for k, a in enumerate(params.live):
-            term += r[:, a, None] * XO[:, k * d : (k + 1) * d]
+        for a in range(params.kappa):
+            term += r[:, a, None] * XO[:, a * d : (a + 1) * d]
         return logz, term
 
     return normalize

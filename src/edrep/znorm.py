@@ -72,18 +72,16 @@ class ZEstimate:
         return self.values.size
 
 
-def _compensated_rowsum(block: np.ndarray, carry=None) -> np.ndarray:
+def _compensated_rowsum(block: np.ndarray, carry) -> np.ndarray:
     """Error-compensated sum along the last axis.
 
     Chunks of 1024 are reduced with numpy's pairwise summation and
     combined with Kahan compensation, keeping the result within a few
     ulps of an extended-precision sum.  ``carry``, the (total, comp)
-    pair of a sum over earlier columns, is continued in place: columns
-    summed in runs of whole 1024-column chunks get the bits of one call
-    over them all.  Returns the total.
+    pair of a sum over earlier columns (zeros to start one), is continued
+    in place: columns summed in runs of whole 1024-column chunks get the
+    bits of one call over them all.  Returns the total.
     """
-    if carry is None:
-        carry = (np.zeros(block.shape[:-1]), np.zeros(block.shape[:-1]))
     total, comp = carry
     for start in range(0, block.shape[-1], 1024):
         y = block[..., start : start + 1024].sum(axis=-1)
@@ -169,9 +167,9 @@ def zeta_matrix(X: np.ndarray, params: MixtureParams):
     Returns ``(L, XO)``.  ``L[i, a] = log pi_a + x_i.mu_a + x_i.Omega_a.x_i / 2``,
     so the estimate is Z_i = m sum_a exp(L[i, a]); no term overflows in
     the log domain, however large the norms.  ``XO`` is X times
-    ``params.omega_stack``, the [Omega_a ...] of the classes ``params.live``
-    in order: the one product that gives every quadratic exponent,
-    returned so that the gradient term can reuse it.
+    ``params.omega_stack``, the [Omega_a ...] of every class in order:
+    the one product that gives every quadratic exponent, returned so that
+    the gradient term can reuse it.
     """
     X = as_dense(X, name="X")
     if X.shape[1] != params.d:
@@ -181,8 +179,8 @@ def zeta_matrix(X: np.ndarray, params: MixtureParams):
     d = params.d
     L = X @ params.mu.T
     XO = X @ params.omega_stack
-    for k, a in enumerate(params.live):
-        L[:, a] += 0.5 * np.einsum("ij,ij->i", XO[:, k * d : (k + 1) * d], X)
+    for a in range(params.kappa):
+        L[:, a] += 0.5 * np.einsum("ij,ij->i", XO[:, a * d : (a + 1) * d], X)
     # A class with pi = 0 gets log pi = -inf and weight 0.
     with np.errstate(divide="ignore"):
         L += np.log(params.pi)

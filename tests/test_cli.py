@@ -229,6 +229,42 @@ class TestSupra:
         assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("under", ["", "x"], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["supra", "fit"])
+def test_out_that_cannot_be_a_directory_is_a_validation_error(
+    command, under, operator_mtx, tmp_path, capsys
+):
+    """An --out that is a file, or a path under one, is refused before
+    any work starts; a fit would otherwise die at its first checkpoint."""
+    src = tmp_path / "edges.csv"
+    src.write_text("1,2,1,1.0\n")
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    argv = {
+        "supra": ("supra", "--input", src),
+        "fit": ("fit", "--operator", operator_mtx, "--epochs", 2, "--checkpoint-every", 1),
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*argv, "--out", afile / under) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error" in err and str(afile) in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "keep\n"
+
+
+def test_failed_write_is_one_line_naming_the_path(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "edges.csv"
+    src.write_text("1,2,1,1.0\n")
+    target = tmp_path / "out" / "run_config.txt"
+
+    def full_disk(out_dir, command, resolved):
+        raise OSError(28, "No space left on device", str(target))
+
+    monkeypatch.setattr(cli, "_write_manifest", full_disk)
+    assert run("supra", "--input", src, "--out", tmp_path / "out") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(target) in err and "No space left" in err
+
+
 @pytest.mark.parametrize(
     "command, option, name, content",
     [

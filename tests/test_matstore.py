@@ -202,24 +202,21 @@ class TestRowSplitProducts:
         B = sp.csr_matrix((1, 2))
         assert spmm(B, X, threads).tobytes() == (B @ X).tobytes()
 
-    def test_range_results_come_back_in_order(self):
-        cuts = [0, 2, 5, 9]
-        assert matstore._run_ranges(lambda a, b: (a, b), cuts) == [(0, 2), (2, 5), (5, 9)]
-        assert matstore._run_ranges(lambda a, b: (a, b), [0, 4]) == [(0, 4)]
-
-    def test_range_error_reaches_caller_after_every_range(self):
-        """The first range fails at once on the pool; the others are still
-        running when it does, and must have finished when it is raised."""
+    def test_range_error_reaches_caller_after_every_range(self, monkeypatch):
+        """The range at row 0 fails at once on the pool; the others are
+        still running when it does, and must have finished when ``spmm``
+        raises it, so none still writes to the output."""
         finished = []
 
-        def fn(a, b):
+        def add_rows(f, x, a, b, out):
             if a == 0:
                 raise KeyError("range 0")
             time.sleep(0.2)
             finished.append(a)
 
+        monkeypatch.setattr(matstore, "_add_rows", add_rows)
         with pytest.raises(KeyError, match="range 0"):
-            matstore._run_ranges(fn, [0, 1, 2, 3])
+            spmm(sp.eye(3, format="csr"), np.ones((3, 2)), 3)
         assert sorted(finished) == [1, 2]
 
     def test_repeated_factor_is_stored_and_transposed_once(self):
@@ -588,9 +585,9 @@ class TestRegularizationWeights:
 
     def test_rejects_bad_sums_and_signs(self):
         with pytest.raises(ValidationError):
-            validate_regularization_weights(np.array([0.5, 0.6]))
+            validate_regularization_weights(np.array([0.5, 0.6]), 2)
         with pytest.raises(ValidationError):
-            validate_regularization_weights(np.array([1.5, -0.5]))
+            validate_regularization_weights(np.array([1.5, -0.5]), 2)
         with pytest.raises(DimensionError):
             validate_regularization_weights(uniform_weights(4), n=5)
 
@@ -598,7 +595,7 @@ class TestRegularizationWeights:
         """A float64 cast would drop the imaginary part with only a
         ComplexWarning."""
         with pytest.raises(ValidationError, match="real numbers"):
-            validate_regularization_weights(np.array([0.5 + 1j, 0.5]))
+            validate_regularization_weights(np.array([0.5 + 1j, 0.5]), 2)
 
 
 @pytest.mark.parametrize(

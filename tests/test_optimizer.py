@@ -41,7 +41,7 @@ from edrep.optimizer import (
     sphere_step,
     unit_tangential,
 )
-from edrep.znorm import _compensated_rowsum, exact_z, zeta_matrix
+from edrep.znorm import _compensated_rowsum, approx_z, exact_z, zeta_matrix
 
 
 def random_operator(n, seed, density=0.25):
@@ -66,8 +66,7 @@ def reference_zeta(X, params):
     linear domain, one product of X per class covariance."""
     expo = X @ params.mu.T
     for a in range(params.kappa):
-        if params.omega[a].any():
-            expo[:, a] += 0.5 * np.einsum("ij,ij->i", X @ params.omega[a], X)
+        expo[:, a] += 0.5 * np.einsum("ij,ij->i", X @ params.omega[a], X)
     zeta = params.pi * np.exp(expo)
     if not np.all(np.isfinite(zeta)):
         raise NumericError("mixture terms overflowed")
@@ -79,8 +78,7 @@ def reference_mixture_term(X, zeta, params):
     and a second product of X with every class covariance."""
     term = zeta @ params.mu
     for a in range(params.kappa):
-        if params.omega[a].any():
-            term += zeta[:, a, None] * (X @ params.omega[a])
+        term += zeta[:, a, None] * (X @ params.omega[a])
     return term / zeta.sum(axis=1)[:, None]
 
 
@@ -96,7 +94,7 @@ def reference_attention_term(X, Y):
     term = np.empty_like(X)
     for start in range(0, X.shape[0], 1024):
         E = np.exp(X[start : start + 1024] @ Y.T)
-        z = _compensated_rowsum(E)
+        z = _compensated_rowsum(E, (np.zeros(E.shape[0]), np.zeros(E.shape[0])))
         term[start : start + 1024] = (E / z[:, None]) @ Y
     return term
 
@@ -240,6 +238,27 @@ class TestApproxGradient:
         np.testing.assert_allclose(
             mixture_term, softmax_weighted_term(X), rtol=1e-9, atol=1e-12
         )
+
+    def test_singleton_class_beside_larger_classes_matches_per_class_oracle(self):
+        """Oracle, class by class: log pi_a + x.mu_a + x.Omega_a.x / 2, with
+        class 1 a single row (zero covariance) and classes 2-4 of 13 rows."""
+        rng = np.random.default_rng(9)
+        n, d, kappa = 40, 4, 4
+        labels = LabelVector(np.r_[1, np.tile([2, 3, 4], 13)], kappa)
+        params = estimate_mixture(unit_rows(rng, n, d), labels)
+        assert not params.omega[0].any() and params.omega[1:].any(axis=(1, 2)).all()
+        X = unit_rows(rng, 30, d)
+        expo = np.column_stack([
+            np.log(params.pi[a]) + X @ params.mu[a]
+            + 0.5 * np.einsum("ij,ij->i", X @ params.omega[a], X)
+            for a in range(kappa)
+        ])
+        np.testing.assert_allclose(zeta_matrix(X, params)[0], expo, rtol=1e-13)
+        zeta = np.exp(expo)
+        np.testing.assert_allclose(approx_z(X, params).values, n * zeta.sum(axis=1), rtol=1e-13)
+        r = zeta / zeta.sum(axis=1)[:, None]
+        term = sum(r[:, a, None] * (params.mu[a] + X @ params.omega[a]) for a in range(kappa))
+        np.testing.assert_allclose(_mixture_normalizer(params)(X)[1], term, rtol=1e-13)
 
 
 class TestSphereStep:

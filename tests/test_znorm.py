@@ -630,7 +630,7 @@ class TestCarriedCompensatedSum:
     def test_carry_over_column_runs_is_one_sum(self, cols):
         rng = np.random.default_rng(cols)
         block = np.exp(8.0 * rng.standard_normal((5, cols)))
-        expected = _compensated_rowsum(block).tobytes()
+        expected = _compensated_rowsum(block, (np.zeros(5), np.zeros(5))).tobytes()
         for run in (1024, 2048):
             carry = (np.zeros(5), np.zeros(5))
             for a in range(0, cols, run):
