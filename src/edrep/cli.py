@@ -237,10 +237,11 @@ def _cmd_estimate_z(resolved: dict) -> Path:
         raise ValidationError(f"unknown estimation method(s): {sorted(bad)}")
     if resolved["samples"] < 1:
         raise ValidationError(f"--samples must be at least 1, got {resolved['samples']}")
+    if resolved["features"] < 1:
+        raise ValidationError(f"--features must be at least 1, got {resolved['features']}")
     emb = eio.load_dense(resolved["embedding"])
     n, d = emb.shape
-    if "mixture" in methods:
-        check_kappa(resolved["kappa"], n, "the embedding")
+    check_kappa(resolved["kappa"], n, "the embedding")
     if {"performer", "rfa"} & set(methods):
         fmap = KernelFeatureMap.from_seed(d, resolved["features"], resolved["seed"])
     rng = np.random.default_rng(resolved["seed"])

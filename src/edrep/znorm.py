@@ -37,9 +37,11 @@ _KEY_CHUNK = 2048
 #: bits of the same rows in one product over all keys: at the benchmark's
 #: 1000- and 2000-row sub-blocks, but not at every shape (1 query Z in 1
 #: of 1000 cases of a sweep over D from 257 to 1000 and d from 2 to 100
-#: missed it by 1 ulp, at 2 threads).  A one-column map, which numpy sums
-#: pairwise rather than row after row, is split only past
-#: _FEATURE_BYTES // 8 keys.
+#: missed it by 1 ulp, at 2 threads).  RFA's cos and sin halves are two
+#: contiguous blocks of one sub-block, each summed on its own.  A block of
+#: one column (performer or rfa at D = 1), which numpy sums pairwise
+#: rather than row after row, is split only past _FEATURE_BYTES // 8 keys,
+#: so rfa at D = 1 holds up to twice this size.
 _FEATURE_BYTES = 16 << 20
 
 
@@ -232,30 +234,28 @@ class KernelFeatureMap:
         return cls(W=np.random.default_rng(seed).standard_normal((n_features, d)))
 
 
-def _performer_features(V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _performer_features(V: np.ndarray, W: np.ndarray, phi: np.ndarray) -> None:
     # Positive exponential features: exp(Wv - |v|^2/2) / sqrt(D); pairs of
-    # features estimate exp(x.y) directly.  Written to the first rows of
-    # ``out``, and returned.  The guard sees the whole block before the exp.
-    phi = np.matmul(V, W.T, out=out[: V.shape[0]])
+    # features estimate exp(x.y) directly.  Written into ``phi``, one row
+    # per row of V.  The guard sees the whole block before the exp.
+    np.matmul(V, W.T, out=phi)
     phi -= 0.5 * _row_sq_norms(V)[:, None]
     _check_exponents(phi)
     np.exp(phi, out=phi)
     phi /= np.sqrt(W.shape[0])
-    return phi
 
 
-def _rfa_features(V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # Trigonometric features: [cos(Wv), sin(Wv)] / sqrt(D); pairs of
-    # features estimate the Gaussian kernel exp(-|x-y|^2/2).  Written to
-    # the first rows of ``out``, and returned.  numpy's sin and cos are
-    # scalar loops, so each feature takes one tan of the half angle: with
-    # t = tan(Wv/2), k = 1/sqrt(D) and q = 2k / (1 + t^2), cos(Wv) k = q - k
-    # and sin(Wv) k = t q, within 3.5 eps k of [np.cos, np.sin] / sqrt(D)
-    # (2.98 seen, for cos near Wv = 0, where q rounds at 2k); Wv = 0 gives [k, 0].
-    D = W.shape[0]
-    k = 1 / np.sqrt(D)
-    phi = out[: V.shape[0]]
-    q, t = phi[:, :D], phi[:, D:]
+def _rfa_features(V: np.ndarray, W: np.ndarray, q: np.ndarray, t: np.ndarray) -> None:
+    # Trigonometric features: cos(Wv) / sqrt(D) into ``q`` and sin(Wv) /
+    # sqrt(D) into ``t``, one row per row of V; pairs of [cos, sin]
+    # features estimate the Gaussian kernel exp(-|x-y|^2/2).  numpy's sin
+    # and cos are scalar loops, so each feature takes one tan of the half
+    # angle: with t = tan(Wv/2), k = 1/sqrt(D) and q = 2k / (1 + t^2),
+    # cos(Wv) k = q - k and sin(Wv) k = t q, within 3.5 eps k of
+    # [np.cos, np.sin] / sqrt(D) (2.98 seen, for cos near Wv = 0, where q
+    # rounds at 2k); Wv = 0 gives [k, 0].  Each pass is faster on
+    # contiguous q and t than on strided halves of one array.
+    k = 1 / np.sqrt(W.shape[0])
     np.matmul(V, 0.5 * W.T, out=t)  # halving is exact
     np.tan(t, out=t)
     np.multiply(t, t, out=q)
@@ -263,7 +263,6 @@ def _rfa_features(V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.divide(2 * k, q, out=q)
     t *= q
     q -= k
-    return phi
 
 
 def _exp_half_sq(V: np.ndarray) -> np.ndarray:
@@ -286,8 +285,11 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     The keys' features are written, one of the fewest equal sub-blocks
     of at most ``_FEATURE_BYTES`` at a time, into one buffer per call,
     which the query features reuse when they fit; the key side holds
-    that buffer however many keys there are.  Both maps run their
-    elementwise passes in place on the whole sub-block, in the calling
+    that buffer however many keys there are.  RFA keys keep their cos
+    and sin halves as two contiguous blocks of the buffer, each summed
+    on its own, so that every elementwise pass runs on contiguous
+    memory; the query features keep the [cos | sin] rows of the mass.
+    Both maps run their elementwise passes in place, in the calling
     thread.  RFA takes one tan(a/2) per feature, each feature within
     3.5 eps / sqrt(D) of [cos(a), sin(a)] / sqrt(D) (see ``_rfa_features``).
     """
@@ -299,28 +301,38 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     rfa = variant == "rfa"
     features = _rfa_features if rfa else _performer_features
 
-    width = 2 * fmap.D if rfa else fmap.D
+    D = fmap.D
+    halves = 2 if rfa else 1  # contiguous (rows, D) blocks per sub-block
     m = Y.shape[0]
-    parts = -(-m // max(1, _FEATURE_BYTES // (8 * width)))
+    # A one-column block is summed pairwise: see _FEATURE_BYTES.
+    rows = _FEATURE_BYTES // (8 * halves * D) if D > 1 else _FEATURE_BYTES // 8
+    parts = -(-m // max(1, rows))
     cuts = [m * k // parts for k in range(parts + 1)]
-    buf = np.empty((-(-m // parts), width))
-    mass = None
+    size = -(-m // parts)
+    buf = np.empty(halves * size * D)
+    keys = buf.reshape(halves, size, D)
+    sums = None
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         sub = Y[lo:hi]
-        grow = _exp_half_sq(sub) if rfa else None
-        phi = features(sub, fmap.W, buf)
-        if rfa:
-            phi *= grow[:, None]
-        # numpy sums a C-contiguous block of two or more columns row
-        # after row, so carrying the sum so far onto the first row gives
-        # the sum over all keys' phi, bit for bit.
-        if mass is not None:
-            phi[0] += mass
-        mass = phi.sum(axis=0)
+        grow = _exp_half_sq(sub)[:, None] if rfa else None
+        blocks = keys[:, : hi - lo]
+        features(sub, fmap.W, *blocks)
+        for h, phi in enumerate(blocks):
+            if rfa:
+                phi *= grow
+            # numpy sums a C-contiguous block of two or more columns row
+            # after row, so carrying the sum so far onto the first row
+            # gives the sum over all keys' phi, bit for bit.
+            if sums is not None:
+                phi[0] += sums[h]
+        sums = [phi.sum(axis=0) for phi in blocks]
+    mass = np.concatenate(sums)
 
-    if X.shape[0] > buf.shape[0]:
-        buf = np.empty((X.shape[0], width))
-    vals = features(X, fmap.W, buf) @ mass
+    n = X.shape[0]
+    phi = buf[: n * halves * D] if n <= size else np.empty(n * halves * D)
+    phi = phi.reshape(n, halves * D)
+    features(X, fmap.W, *np.hsplit(phi, halves))
+    vals = phi @ mass
     if rfa:
         vals *= _exp_half_sq(X)
     if not np.all(np.isfinite(vals)):

@@ -552,6 +552,8 @@ _GRID = ("--n", 600, "--theta-recipe", "unit", "--seeds", 1, "--epochs", 2, "--d
         ("dcsbm-bench", *_GRID, "--alphas", "1", "--kappa", 601),
         ("deviation", "--n", 20, "--kappas", "1,21"),
         ("estimate-z", "--methods", "exact,mixture", "--kappa", 101),
+        ("estimate-z", "--methods", "performer", "--features", 2, "--kappa", -5),
+        ("estimate-z", "--methods", "exact", "--features", -3),
         ("dcsbm-bench", *_GRID, "--alphas", "1,4"),
         ("dcsbm-bench", *_GRID, "--alphas", "1", "--c", "nan"),
         ("dcsbm-bench", *_GRID, "--alphas", "1", "--c", "inf"),
@@ -568,6 +570,7 @@ _GRID = ("--n", 600, "--theta-recipe", "unit", "--seeds", 1, "--epochs", 2, "--d
          "estimate-z-features-zero", "estimate-z-kappa-zero", "estimate-z-no-method",
          "fit-checkpoint-negative", "fit-kappa-above-rows", "dcsbm-kappa-above-n",
          "deviation-kappa-above-n", "estimate-z-kappa-above-rows",
+         "estimate-z-unused-kappa-negative", "estimate-z-unused-features-negative",
          "dcsbm-late-alpha-needs-negative-c-out", "dcsbm-c-nan", "dcsbm-c-inf",
          "dcsbm-alpha-nan", "fit-dim-zero", "fit-epochs-zero", "fit-seed-negative",
          "dcsbm-seed-negative", "estimate-z-seed-negative", "deviation-seed-negative",
