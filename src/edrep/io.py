@@ -125,7 +125,11 @@ def load_operator(path) -> ProductChain:
     names = manifest.get("factors") if isinstance(manifest, dict) else None
     if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
         raise ValidationError(f'chain manifest {path} needs a "factors" list of file names')
-    factors = [load_sparse_mm(Path(path).parent / f) for f in names]
+    # A file named several times is read once, so the chain stores and
+    # transposes it once.
+    files = [(Path(path).parent / f).resolve() for f in names]
+    read = {f: load_sparse_mm(f) for f in dict.fromkeys(files)}
+    factors = [read[f] for f in files]
     try:
         chain = ProductChain(factors, weights=manifest.get("weights"))
         chain.validate_stochastic()

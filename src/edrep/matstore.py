@@ -394,16 +394,10 @@ class ProductChain:
 
 
 def _product(factors, X: np.ndarray, threads: int) -> np.ndarray:
-    """``factors[-1] @ ... @ factors[0] @ X``; each product overwrites the
-    one before the last when their shapes match."""
-    cur, spare = X, None
+    """``factors[-1] @ ... @ factors[0] @ X``, each product a new array."""
     for f in factors:
-        if spare is not None and spare.shape != (f.shape[0], X.shape[1]):
-            spare = None
-        out = spmm(f, cur, threads, spare)
-        spare = None if cur is X else cur
-        cur = out
-    return cur
+        X = spmm(f, X, threads)
+    return X
 
 
 def as_chain(P) -> ProductChain:

@@ -273,16 +273,15 @@ def _single_class(n: int) -> LabelVector:
     return LabelVector(np.ones(n, dtype=np.int64), 1)
 
 
-def _validated(P, p0, caller: str):
-    """The operator as a square chain, validated once, and p0 over its
-    rows; ``caller`` names the fit in the error message."""
+def _validated(P, caller: str):
+    """The operator as a square chain, validated once, and uniform p0
+    over its rows; ``caller`` names the fit in the error message."""
     chain = as_chain(P)
     n = chain.shape[0]
     if chain.shape[1] != n:
         raise ValidationError(f"{caller} needs a square operator, got {chain.shape}")
     chain.validate_stochastic()
-    p0 = uniform_weights(n) if p0 is None else validate_regularization_weights(p0, n)
-    return chain, p0
+    return chain, uniform_weights(n)
 
 
 def _blocked_step(X: np.ndarray, normalize, pull, eta: float, where: str, out: np.ndarray):
@@ -376,7 +375,6 @@ def _resolve_labels(chain, cfg, p0, labels) -> LabelVector:
 def fit(
     P,
     cfg: OptimizerConfig,
-    p0=None,
     labels: LabelVector | None = None,
     record_trajectory: bool = False,
     on_epoch=None,
@@ -392,7 +390,7 @@ def fit(
     and the optimization is rerun with them.  Deterministic given
     ``cfg.seed``; ``on_epoch(epoch, X)`` is invoked after every update.
     """
-    chain, p0 = _validated(P, p0, "fit")
+    chain, p0 = _validated(P, "fit")
     labels = _resolve_labels(chain, cfg, p0, labels)
     normalize = partial(_key_mixture, labels)
     X, rows, trajectory = _descend(chain, cfg, p0, normalize, record_trajectory, on_epoch)
@@ -404,7 +402,6 @@ def fit(
 def fit_exact(
     P,
     cfg: OptimizerConfig,
-    p0=None,
     record_trajectory: bool = False,
     on_epoch=None,
 ) -> FitResult:
@@ -420,7 +417,7 @@ def fit_exact(
         raise ValidationError(
             f"fit_exact is O(n^2 d); refusing n={chain.shape[0]} > {_EXACT_SIZE_GUARD}"
         )
-    chain, p0 = _validated(chain, p0, "fit_exact")
+    chain, p0 = _validated(chain, "fit_exact")
     X, rows, trajectory = _descend(
         chain, cfg, p0, _exact_normalizer,
         record_trajectory=record_trajectory, on_epoch=on_epoch,

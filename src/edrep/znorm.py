@@ -30,7 +30,7 @@ _BLOCK_ROWS = 256
 #: score buffer takes at most 8 MiB however many keys there are (7.1 MiB at
 #: m = 20,000), against 39 MiB for whole 256-row blocks of scores.
 _KEY_CHUNK = 2048
-#: Bytes of key features that :func:`kernel_z` holds at once.  The keys
+#: Bytes of key features that :func:`_key_mass` holds at once.  The keys
 #: are cut into the fewest equal sub-blocks of at most this size, each
 #: summed onto the first row of the next, so the mass has the bits of
 #: features(Y).sum(axis=0) wherever BLAS gives a sub-block's rows the
@@ -38,10 +38,10 @@ _KEY_CHUNK = 2048
 #: 1000- and 2000-row sub-blocks, but not at every shape (1 query Z in 1
 #: of 1000 cases of a sweep over D from 257 to 1000 and d from 2 to 100
 #: missed it by 1 ulp, at 2 threads).  RFA's cos and sin halves are two
-#: contiguous blocks of one sub-block, each summed on its own.  A block of
-#: one column (performer or rfa at D = 1), which numpy sums pairwise
-#: rather than row after row, is split only past _FEATURE_BYTES // 8 keys,
-#: so rfa at D = 1 holds up to twice this size.
+#: contiguous blocks of one sub-block, summed in one call that sums each
+#: on its own.  A block of one column (performer or rfa at D = 1), which
+#: numpy sums pairwise rather than row after row, is split only past
+#: _FEATURE_BYTES // 8 keys, so rfa at D = 1 holds up to twice this size.
 _FEATURE_BYTES = 16 << 20
 
 
@@ -273,25 +273,51 @@ def _exp_half_sq(V: np.ndarray) -> np.ndarray:
     return np.exp(sq)
 
 
+def _key_mass(Y: np.ndarray, W: np.ndarray, rfa: bool) -> np.ndarray:
+    """features(Y).sum(axis=0), the key feature mass: performer features,
+    or rfa's [cos | sin] features times each key's exp(|y|^2 / 2).
+
+    One sub-block of keys (see ``_FEATURE_BYTES``) at a time goes into
+    one (halves, rows, D) buffer, rfa's cos and sin as contiguous blocks
+    so that every elementwise pass runs on contiguous memory; the key
+    side holds that buffer however many keys there are.
+    """
+    features = _rfa_features if rfa else _performer_features
+    halves, D = (2 if rfa else 1), W.shape[0]
+    m = Y.shape[0]
+    # A one-column block is summed pairwise: see _FEATURE_BYTES.
+    rows = _FEATURE_BYTES // (8 * halves * D) if D > 1 else _FEATURE_BYTES // 8
+    parts = -(-m // max(1, rows))
+    cuts = [m * k // parts for k in range(parts + 1)]
+    buf = np.empty((halves, -(-m // parts), D))
+    sums = None
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sub, phi = Y[lo:hi], buf[:, : hi - lo]
+        features(sub, W, *phi)
+        if rfa:
+            phi *= _exp_half_sq(sub)[:, None]
+        # numpy sums a C-contiguous block of two or more columns row
+        # after row, so carrying the sum so far onto the first row gives
+        # the sum over all keys' phi, bit for bit.
+        if sums is not None:
+            phi[:, 0] += sums
+        sums = phi.sum(axis=1)
+    return sums.ravel()
+
+
 def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str) -> ZEstimate:
     """Monte-Carlo estimate of the normalization constants via random features.
 
-    The key-side feature mass is accumulated once over Y, then every
-    query row costs O(D d).  ``variant`` selects ``performer``
-    (positive exponential features) or ``rfa`` (trigonometric features,
-    whose signed sums are clamped to a positive floor when they fail to
-    be positive; clamped rows are reported in the estimate).
-
-    The keys' features are written, one of the fewest equal sub-blocks
-    of at most ``_FEATURE_BYTES`` at a time, into one buffer per call,
-    which the query features reuse when they fit; the key side holds
-    that buffer however many keys there are.  RFA keys keep their cos
-    and sin halves as two contiguous blocks of the buffer, each summed
-    on its own, so that every elementwise pass runs on contiguous
-    memory; the query features keep the [cos | sin] rows of the mass.
-    Both maps run their elementwise passes in place, in the calling
-    thread.  RFA takes one tan(a/2) per feature, each feature within
-    3.5 eps / sqrt(D) of [cos(a), sin(a)] / sqrt(D) (see ``_rfa_features``).
+    ``variant`` selects ``performer`` (positive exponential features) or
+    ``rfa`` (trigonometric features, whose signed sums are clamped to a
+    positive floor when they fail to be positive; clamped rows are
+    reported in the estimate).  The key feature mass (``_key_mass``) is
+    summed once over Y, and its buffer freed, before the query features
+    are made in an array of their own, with the mass's [cos | sin] rows;
+    every query row then costs O(D d).  Both maps run their elementwise
+    passes in place, in the calling thread.  RFA takes one tan(a/2) per
+    feature, each feature within 3.5 eps / sqrt(D) of [cos(a), sin(a)] /
+    sqrt(D) (see ``_rfa_features``).
     """
     X, Y = _operands(X, Y)
     if X.shape[1] != fmap.W.shape[1]:
@@ -299,39 +325,10 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     if variant not in ("performer", "rfa"):
         raise ValidationError(f"unknown kernel variant {variant!r}")
     rfa = variant == "rfa"
+    mass = _key_mass(Y, fmap.W, rfa)
+    phi = np.empty((X.shape[0], mass.size))
     features = _rfa_features if rfa else _performer_features
-
-    D = fmap.D
-    halves = 2 if rfa else 1  # contiguous (rows, D) blocks per sub-block
-    m = Y.shape[0]
-    # A one-column block is summed pairwise: see _FEATURE_BYTES.
-    rows = _FEATURE_BYTES // (8 * halves * D) if D > 1 else _FEATURE_BYTES // 8
-    parts = -(-m // max(1, rows))
-    cuts = [m * k // parts for k in range(parts + 1)]
-    size = -(-m // parts)
-    buf = np.empty(halves * size * D)
-    keys = buf.reshape(halves, size, D)
-    sums = None
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sub = Y[lo:hi]
-        grow = _exp_half_sq(sub)[:, None] if rfa else None
-        blocks = keys[:, : hi - lo]
-        features(sub, fmap.W, *blocks)
-        for h, phi in enumerate(blocks):
-            if rfa:
-                phi *= grow
-            # numpy sums a C-contiguous block of two or more columns row
-            # after row, so carrying the sum so far onto the first row
-            # gives the sum over all keys' phi, bit for bit.
-            if sums is not None:
-                phi[0] += sums[h]
-        sums = [phi.sum(axis=0) for phi in blocks]
-    mass = np.concatenate(sums)
-
-    n = X.shape[0]
-    phi = buf[: n * halves * D] if n <= size else np.empty(n * halves * D)
-    phi = phi.reshape(n, halves * D)
-    features(X, fmap.W, *np.hsplit(phi, halves))
+    features(X, fmap.W, *np.hsplit(phi, 2 if rfa else 1))
     vals = phi @ mass
     if rfa:
         vals *= _exp_half_sq(X)

@@ -115,6 +115,23 @@ def test_sparse_matrix_market_round_trip(tmp_path):
     assert (A != B).nnz == 0
 
 
+def test_manifest_reads_a_repeated_factor_once(tmp_path, monkeypatch):
+    """A walk manifest names one file per step; each distinct file is read
+    once, so the chain holds, and transposes, one matrix."""
+    A = sp.random(9, 9, density=0.3, random_state=4, format="csr") + sp.eye(9)
+    eio.save_sparse_mm(tmp_path / "P.mtx", sp.diags(1 / A.sum(axis=1).A1) @ A)
+    (tmp_path / "walk.json").write_text(
+        '{"factors": ["P.mtx", "./P.mtx", "P.mtx"], "weights": [0.5, 0.25, 0.25]}'
+    )
+    read = []
+    load = eio.load_sparse_mm
+    monkeypatch.setattr(eio, "load_sparse_mm", lambda path: read.append(path) or load(path))
+    chain = eio.load_operator(tmp_path / "walk.json")
+    assert len(read) == 1
+    assert chain.factors[0] is chain.factors[1] is chain.factors[2]
+    assert len({id(t) for t in chain._transposes()}) == 1
+
+
 def test_labels_round_trip(tmp_path):
     labels = np.array([1, 2, 2, 3, 1])
     path = tmp_path / "labels.txt"
