@@ -112,7 +112,9 @@ def _entry(X, P, p0):
 def _objective(X: np.ndarray, PX: np.ndarray, p0X: np.ndarray):
     """-tr(X'PX) + sum_i log Z_i + tr(X'1 p0'X) as a function of the total
     log Z.  P X is read here, so it may be overwritten before the call."""
-    affinity = -float(np.vdot(X, PX))
+    # einsum's loop runs in this thread, in one fixed order, and makes no
+    # n x d temporary; a BLAS dot splits its sum by the thread count.
+    affinity = -float(np.einsum("ij,ij->", X, PX))
     reg = float(X.sum(axis=0) @ p0X)
     return lambda logz: affinity + logz + reg
 

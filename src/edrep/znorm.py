@@ -208,7 +208,9 @@ def approx_z(X: np.ndarray, params: MixtureParams) -> ZEstimate:
     summed in the log domain, so a row fails only if Z itself overflows.
     """
     logz, _ = _log_sum_exp(zeta_matrix(X, params)[0])
-    return ZEstimate(params.m * np.exp(logz), f"mixture({params.kappa})")
+    # An overflow gives inf, which ZEstimate rejects.
+    with np.errstate(over="ignore"):
+        return ZEstimate(params.m * np.exp(logz), f"mixture({params.kappa})")
 
 
 @dataclass(frozen=True)
@@ -329,13 +331,15 @@ def kernel_z(X: np.ndarray, Y: np.ndarray, fmap: KernelFeatureMap, variant: str)
     phi = np.empty((X.shape[0], mass.size))
     features = _rfa_features if rfa else _performer_features
     features(X, fmap.W, *np.hsplit(phi, 2 if rfa else 1))
-    vals = phi @ mass
-    if rfa:
-        vals *= _exp_half_sq(X)
+    with np.errstate(over="ignore"):
+        vals = phi @ mass
+        if rfa:
+            vals *= _exp_half_sq(X)
     if not np.all(np.isfinite(vals)):
         raise NumericError(f"{variant} feature sums are not finite")
     clamped = np.flatnonzero(vals <= 0)
-    if clamped.size:
+    # Only rfa's signed sums are clamped; a performer 0 is an underflow.
+    if rfa and clamped.size:
         vals[clamped] = np.finfo(np.float64).tiny
     return ZEstimate(
         vals, f"{variant}({fmap.D})", clamped=clamped if clamped.size else None

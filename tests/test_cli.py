@@ -277,13 +277,15 @@ def test_failed_write_is_one_line_naming_the_path(tmp_path, capsys, monkeypatch)
         ("fit", "--operator", "chain.json",
          b'{"factors": ["P.mtx", "P.mtx"], "weights": [1.5, -0.5]}'),
         ("fit", "--operator", "chain.json", b'{"factors": ["P\xff.mtx"]}'),
+        ("fit", "--operator", "chain.json",
+         b'{"factors": ["P.mtx", "P.mtx"], "weights": [[1], [1, 2]]}'),
         ("estimate-z", "--embedding", "emb.csv", b""),
         ("estimate-z", "--embedding", "emb.edr1",
          b"EDR1" + np.array([0, 5], dtype="<u8").tobytes()),
     ],
     ids=["supra-word", "csv-word", "edr1-short", "manifest-no-factors",
          "manifest-list", "manifest-word-weight", "manifest-negative-weight",
-         "manifest-not-utf8", "csv-empty", "edr1-no-rows"],
+         "manifest-not-utf8", "manifest-ragged-weights", "csv-empty", "edr1-no-rows"],
 )
 def test_malformed_input_file_is_a_validation_error(
     command, option, name, content, operator_mtx, tmp_path, capsys
@@ -457,15 +459,21 @@ class TestConfigResolution:
         after = {p.name for p in workdir.iterdir()}
         assert after - before == {"results"}
 
-    def test_overflow_maps_to_numeric_exit(self, tmp_path):
+    def test_overflow_maps_to_numeric_exit(self, tmp_path, capsys):
+        """The exact method's guard rejects these scalar products; the
+        mixture's Z overflows.  Neither run may warn before its one error
+        line."""
         X = np.full((3, 2), 30.0)
         path = tmp_path / "big.csv"
         eio.save_dense_csv(path, X)
-        code = run(
-            "estimate-z", "--embedding", path, "--methods", "exact",
-            "--out", tmp_path / "o",
-        )
-        assert code == EXIT_NUMERIC
+        for method in ("exact", "mixture"):
+            code = run(
+                "estimate-z", "--embedding", path, "--methods", method,
+                "--out", tmp_path / method,
+            )
+            assert code == EXIT_NUMERIC, method
+            err = capsys.readouterr().err
+            assert err.startswith("edrep: numeric error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "argv",

@@ -606,6 +606,8 @@ class TestRegularizationWeights:
         (lambda: ProductChain([sp.eye(2)], weights=[[1.0]]), DimensionError, "prefix weights"),
         (lambda: ProductChain([]), ValidationError, "at least one factor"),
         (lambda: ProductChain([sp.eye(2)], weights=[np.nan]), ValidationError, "finite"),
+        (lambda: ProductChain([sp.eye(2)] * 2, weights=[[1], [1, 2]]), ValidationError,
+         "prefix weights must be numbers"),
         (lambda: ProductChain([sp.eye(2)], weights=np.array([1 + 1j])), ValidationError,
          "prefix weights must hold real numbers, got dtype complex128"),
         (lambda: ProductChain([sp.csr_matrix(np.ones((2, 3)))], weights=[1.0]), DimensionError,
@@ -614,9 +616,12 @@ class TestRegularizationWeights:
          "transposed chain expects 4"),
         (lambda: row_normalize(sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))),
          ValidationError, r"rectangular matrix: rows \[1\]"),
+        (lambda: validate_regularization_weights(np.full((2, 2), 0.25), 4), ValidationError,
+         "must be a vector"),
     ],
     ids=["dense-3d", "csr-non-finite", "weights-not-vector", "no-factors", "weights-non-finite",
-         "weights-complex", "weighted-non-square", "transpose-operand-rows", "rectangular-empty-rows"],
+         "weights-ragged", "weights-complex", "weighted-non-square", "transpose-operand-rows",
+         "rectangular-empty-rows", "regularization-weights-2d"],
 )
 def test_malformed_input_rejected(call, error, match):
     with pytest.raises(error, match=match):

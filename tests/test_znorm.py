@@ -404,6 +404,25 @@ class TestKernelZ:
         np.testing.assert_array_equal(z.clamped, [2, 4, 5])
         assert np.all(z.values > 0)
 
+    @pytest.mark.parametrize(
+        "variant, y, w, match",
+        [
+            ("performer", 37.0, 37.0, "not finite"),
+            ("rfa", -37.0, np.pi / 74, "not finite"),
+            ("performer", -37.0, np.pi / 74, "nonpositive"),
+        ],
+        ids=["performer-overflow", "rfa-overflow", "performer-underflow"],
+    )
+    def test_sums_outside_float64_raise_numeric_error(self, variant, y, w, match):
+        """x = 37 passes the exponent guard, but the sums do not fit: the
+        performer sum exp(684.5)^2 and rfa's -exp(684.5)^2 overflow, and
+        the performer sum exp(-686.1) exp(-682.9) underflows to 0, which is
+        not clamped as rfa's signed sums are.  No RuntimeWarning comes
+        first."""
+        fmap = KernelFeatureMap(W=np.array([[w]]))
+        with pytest.raises(NumericError, match=match):
+            kernel_z(np.array([[37.0]]), np.array([[y]]), fmap, variant)
+
     def test_map_reproducible_from_seed(self):
         a = KernelFeatureMap.from_seed(5, 64, 42)
         b = KernelFeatureMap.from_seed(5, 64, 42)
@@ -731,18 +750,20 @@ class TestInputChecks:
                 kernel_z(X, Y, KernelFeatureMap.from_seed(3, 8, 0), method)
 
     @pytest.mark.parametrize(
-        "W, match",
+        "build, match",
         [
-            (np.ones(3), "2-dimensional"),
-            (np.array([[1.0, np.nan]]), "non-finite"),
-            (np.empty((0, 3)), "rows and columns"),
-            (np.empty((3, 0)), "rows and columns"),
+            (lambda: KernelFeatureMap(W=np.ones(3)), "2-dimensional"),
+            (lambda: KernelFeatureMap(W=np.array([[1.0, np.nan]])), "non-finite"),
+            (lambda: KernelFeatureMap(W=np.empty((0, 3))), "rows and columns"),
+            (lambda: KernelFeatureMap(W=np.empty((3, 0))), "rows and columns"),
+            (lambda: KernelFeatureMap.from_seed(0, 8, 0), "must be positive"),
+            (lambda: KernelFeatureMap.from_seed(3, 0, 0), "must be positive"),
         ],
-        ids=["1-d", "nan", "no-rows", "no-columns"],
+        ids=["1-d", "nan", "no-rows", "no-columns", "seed-no-dims", "seed-no-features"],
     )
-    def test_feature_map_checked_when_built(self, W, match):
+    def test_feature_map_checked_when_built(self, build, match):
         with pytest.raises(ValidationError, match=match):
-            KernelFeatureMap(W=W)
+            build()
 
     def test_kernel_z_checks_the_map_dimension(self):
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
