@@ -143,6 +143,8 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected key = value")
+        if "\0" in line:
+            raise _UsageError(f"{path}:{lineno}: a line may not hold a NUL byte")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .graphs import DcsbmInstance, DcsbmParams, _affinities, dcsbm_sample, walk_operator
+from .graphs import DcsbmInstance, DcsbmParams, dcsbm_sample, walk_operator
 from .matstore import as_dense
 from .mixture import check_kappa, kmeans_label
 from .optimizer import OptimizerConfig, fit
@@ -110,7 +110,7 @@ def dcsbm_benchmark(
     """Run the community pipeline over a hardness grid.
 
     Returns tidy rows (alpha, seed, nmi, wall_time), one per
-    alpha/seed combination.  Every grid cell and its affinities, the walk
+    alpha/seed combination.  Every grid cell's block model, the walk
     window and the mixture order are checked before the first graph is sampled.
     """
     grid = [
@@ -121,8 +121,6 @@ def dcsbm_benchmark(
     if w < 1:
         raise ValidationError(f"walk window must be positive, got {w}")
     check_kappa(cfg.kappa, n, "each graph")
-    for params in grid:
-        _affinities(params)
     rows = []
     for params in grid:
         score, wall = community_pipeline(

@@ -18,6 +18,10 @@ from .matstore import ProductChain, _real, as_csr, row_normalize
 from .mixture import LabelVector
 
 
+#: Label draws before :class:`DcsbmParams` gives up on filling every class.
+_LABEL_DRAWS = 1000
+
+
 @dataclass(frozen=True)
 class DcsbmParams:
     """Degree-corrected block model, parameterized by hardness.
@@ -30,6 +34,11 @@ class DcsbmParams:
     ``unit`` (all ones) or ``powerlaw`` (sixth power of a uniform
     draw on [3, 12], normalized to mean 1), giving a broad but bounded
     degree profile.
+
+    Building the params draws all but the edges and raises every block-model
+    failure.  Seed substream 1 gives ``theta``, then ``c_in`` and ``c_out``
+    (no pair probability may exceed 1); 0 the 1-based ``labels``, redrawn until
+    no class is empty (at most :data:`_LABEL_DRAWS` times); 2 the edges.
     """
 
     n: int
@@ -46,6 +55,30 @@ class DcsbmParams:
             raise ValidationError(f"c={self.c} and alpha={self.alpha} must be finite and positive")
         if self.theta_recipe not in ("unit", "powerlaw"):
             raise ValidationError(f"unknown theta recipe {self.theta_recipe!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        label_seq, theta_seq = np.random.SeedSequence(self.seed).spawn(2)
+        theta = _draw_theta(self.theta_recipe, self.n, np.random.default_rng(theta_seq))
+        c_in, c_out = solve_affinities(self.c, self.alpha, self.q, float(np.mean(theta**2)))
+        top = np.sort(theta)[-2:]
+        with np.errstate(over="ignore"):
+            if top[0] * top[1] * c_in / self.n > 1.0:
+                raise ValidationError(
+                    f"edge probability exceeds 1 for the pair theta_i={top[1]:.4f}, "
+                    f"theta_j={top[0]:.4f} (c_in={c_in:.6g}, n={self.n})"
+                )
+        label_rng = np.random.default_rng(label_seq)
+        for _ in range(_LABEL_DRAWS):
+            labels = label_rng.integers(1, self.q + 1, size=self.n)
+            if np.bincount(labels, minlength=self.q + 1)[1:].min() > 0:
+                break
+        else:
+            raise ValidationError(
+                f"q={self.q} classes over n={self.n} nodes left a class empty in "
+                f"{_LABEL_DRAWS} label draws; use fewer classes or more nodes"
+            )
+        for name, value in (("labels", labels), ("theta", theta), ("c_in", c_in), ("c_out", c_out)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -55,9 +88,7 @@ class DcsbmInstance:
     adjacency: sp.csr_matrix
     labels: LabelVector
     avg_degree: float
-    c_in: float
-    c_out: float
-    theta: np.ndarray
+    params: DcsbmParams
 
 
 def _draw_theta(recipe: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -69,16 +100,19 @@ def _draw_theta(recipe: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def solve_affinities(c: float, alpha: float, q: int, theta_second_moment: float):
     """Invert (c, alpha, q) into (c_in, c_out) under the mean-degree identity."""
-    c_out = c - alpha * np.sqrt(c / theta_second_moment)
-    if -1e-9 < c_out < 0:
-        c_out = 0.0
-    c_in = q * c - (q - 1) * c_out
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_out = c - alpha * np.sqrt(c / theta_second_moment)
+        if -1e-9 < c_out < 0:
+            c_out = 0.0
+        c_in = q * c - (q - 1) * c_out
     if c_out < 0:
         raise ValidationError(
-            f"alpha={alpha} is too large for c={c}: it would need c_out={c_out:.3f} < 0"
+            f"alpha={alpha} is too large for c={c}: it would need c_out={c_out:.6g} < 0"
         )
+    if not np.isfinite(c_in):
+        raise ValidationError(f"c={c} and alpha={alpha} overflow float64: c_in={c_in:.6g}")
     if c_in <= c_out:
-        raise ValidationError(f"derived c_in={c_in:.3f} <= c_out={c_out:.3f}")
+        raise ValidationError(f"derived c_in={c_in:.6g} <= c_out={c_out:.6g}")
     return float(c_in), float(c_out)
 
 
@@ -137,59 +171,23 @@ def _symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> sp.csr_matrix:
     ))
 
 
-def _affinities(params: DcsbmParams):
-    """theta (from the second of the seed's three RNG substreams), c_in and
-    c_out of a block-model graph, checked: no edge probability exceeds 1."""
-    theta_seq = np.random.SeedSequence(params.seed).spawn(3)[1]
-    theta = _draw_theta(params.theta_recipe, params.n, np.random.default_rng(theta_seq))
-    c_in, c_out = solve_affinities(params.c, params.alpha, params.q, float(np.mean(theta**2)))
-    top = np.sort(theta)[-2:]
-    if top[0] * top[1] * c_in / params.n > 1.0:
-        raise ValidationError(
-            f"edge probability exceeds 1 for the pair theta_i={top[1]:.4f}, "
-            f"theta_j={top[0]:.4f} (c_in={c_in:.3f}, n={params.n})"
-        )
-    return theta, c_in, c_out
-
-
-#: Label draws before :func:`dcsbm_sample` gives up on filling every class.
-_LABEL_DRAWS = 1000
-
-
 def dcsbm_sample(params: DcsbmParams) -> DcsbmInstance:
-    """Sample a block-model graph with degree correction.
-
-    Labels are uniform over the q classes, redrawn until none is empty
-    (at most :data:`_LABEL_DRAWS` times).
-    Every pair i < j is an independent Bernoulli edge with probability
+    """Draw the edges of a block-model graph from substream 2 of its seed,
+    given the checked labels, theta and affinities of ``params``.  Every
+    pair i < j is an independent Bernoulli edge with probability
     theta_i theta_j / n times the in/out affinity, drawn by the exact
     edge-linear sampler of :func:`_pair_edges` in O(n + E), and mirrored
-    to an exact symmetric zero-diagonal adjacency.  Labels, theta and
-    edges each have their own RNG substream of the seed.
-    """
-    theta, c_in, c_out = _affinities(params)
-    label_seq, _, edge_seq = np.random.SeedSequence(params.seed).spawn(3)
-    label_rng = np.random.default_rng(label_seq)
-    for _ in range(_LABEL_DRAWS):
-        labels = label_rng.integers(1, params.q + 1, size=params.n)
-        if np.bincount(labels, minlength=params.q + 1)[1:].min() > 0:
-            break
-    else:
-        raise ValidationError(
-            f"q={params.q} classes over n={params.n} nodes left a class empty in "
-            f"{_LABEL_DRAWS} label draws; use fewer classes or more nodes"
-        )
-    affinity = np.full((params.q, params.q), c_out)
-    np.fill_diagonal(affinity, c_in)
-    u, v = _pair_edges(theta, labels - 1, affinity, params.n, np.random.default_rng(edge_seq))
+    to an exact symmetric zero-diagonal adjacency."""
+    rng = np.random.default_rng(np.random.SeedSequence(params.seed).spawn(3)[2])
+    affinity = np.full((params.q, params.q), params.c_out)
+    np.fill_diagonal(affinity, params.c_in)
+    u, v = _pair_edges(params.theta, params.labels - 1, affinity, params.n, rng)
     adj = _symmetric_adjacency(params.n, u, v)
     return DcsbmInstance(
         adjacency=adj,
-        labels=LabelVector(labels, params.q),
+        labels=LabelVector(params.labels, params.q),
         avg_degree=float(adj.nnz / params.n),
-        c_in=c_in,
-        c_out=c_out,
-        theta=theta,
+        params=params,
     )
 
 
@@ -228,7 +226,12 @@ def negative_binomial_graph(
             f"is 0), got r={r}, p={p}"
         )
     rng = np.random.default_rng(seed)
-    theta = rng.negative_binomial(r, p, size=n).astype(np.float64)
+    try:
+        theta = rng.negative_binomial(r, p, size=n).astype(np.float64)
+    except ValueError as exc:
+        raise ValidationError(
+            f"negative binomial r={r}, p={p} is out of numpy's range (r too large or p too small)"
+        ) from exc
     total = theta.sum()
     if total == 0:
         raise ValidationError("all propensities came out zero; change the seed")

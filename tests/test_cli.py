@@ -394,6 +394,23 @@ class TestConfigResolution:
         assert match in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [("estimate-z", "embedding = a\0.edr1"), ("supra", "out = o\0b")],
+        ids=["estimate-z-embedding", "supra-out"],
+    )
+    def test_nul_byte_in_config_is_usage_error(self, command, line, tmp_path, capsys, monkeypatch):
+        """No flag or environment variable can carry a NUL, so the config
+        reader is the one place that rejects it, before open or mkdir would."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "edges.csv").write_text("1,2,1,1.0\n")
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        argv = {"estimate-z": ("--out", "o"), "supra": ("--input", "edges.csv")}[command]
+        assert run(command, "--config", "run.cfg", *argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("edrep: error: run.cfg:1:") and err.count("\n") == 1, err
+        assert sorted(os.listdir(tmp_path)) == ["edges.csv", "run.cfg"]
+
     def test_config_skips_blank_and_comment_lines(self, embedding_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# methods = exact\n\n   \nmethods = mixture\n")
@@ -492,10 +509,11 @@ class TestConfigResolution:
             ("concentration", "--m-grid", ","),
             ("concentration", "--m-grid", 0),
             ("concentration", "--m-grid", -5),
+            ("deviation", "--n", 20, "--nb-p", 1e-20),
         ],
         ids=["samples-negative", "samples-zero", "nb-r-zero", "nb-p-above-one",
              "nb-p-zero", "nb-p-one", "d-zero", "seeds-zero", "alphas-empty", "kappas-empty",
-             "n-zero", "m-grid-empty", "m-grid-zero", "m-grid-negative"],
+             "n-zero", "m-grid-empty", "m-grid-zero", "m-grid-negative", "nb-p-beyond-numpy"],
     )
     def test_out_of_range_number_is_a_validation_error(
         self, argv, embedding_csv, tmp_path, capsys
@@ -505,7 +523,7 @@ class TestConfigResolution:
         code = run(*argv, *extra, "--out", out)
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "validation error" in err and "Traceback" not in err
+        assert err.startswith("edrep: validation error:") and err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -566,6 +584,8 @@ _GRID = ("--n", 600, "--theta-recipe", "unit", "--seeds", 1, "--epochs", 2, "--d
         ("dcsbm-bench", *_GRID, "--alphas", "1", "--c", "nan"),
         ("dcsbm-bench", *_GRID, "--alphas", "1", "--c", "inf"),
         ("dcsbm-bench", *_GRID, "--alphas", "nan"),
+        ("dcsbm-bench", *_GRID, "--alphas", "1", "--c", "1e308"),
+        ("dcsbm-bench", *_GRID, "--q", 600, "--c", 0.5, "--alphas", "0.1"),
         ("fit", "--dim", 0),
         ("fit", "--epochs", 0),
         ("fit", "--seed", -1),
@@ -580,7 +600,7 @@ _GRID = ("--n", 600, "--theta-recipe", "unit", "--seeds", 1, "--epochs", 2, "--d
          "deviation-kappa-above-n", "estimate-z-kappa-above-rows",
          "estimate-z-unused-kappa-negative", "estimate-z-unused-features-negative",
          "dcsbm-late-alpha-needs-negative-c-out", "dcsbm-c-nan", "dcsbm-c-inf",
-         "dcsbm-alpha-nan", "fit-dim-zero", "fit-epochs-zero", "fit-seed-negative",
+         "dcsbm-alpha-nan", "dcsbm-c-overflow", "dcsbm-q-near-n", "fit-dim-zero", "fit-epochs-zero", "fit-seed-negative",
          "dcsbm-seed-negative", "estimate-z-seed-negative", "deviation-seed-negative",
          "concentration-seed-negative"],
 )

@@ -1,6 +1,8 @@
 """Block-model sampling, walk operators and the supra graph."""
 
+import re
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ def reference_dcsbm_sample(params):
     """Oracle: the dense block-model sampler, one Bernoulli draw per cell of
     the upper triangle in row ranges of 256, each with its own substream.
     O(n^2); labels and theta come from the same substreams as in
-    ``dcsbm_sample``.  Returns (adjacency, labels, theta, c_in, c_out)."""
+    ``DcsbmParams``.  Returns (adjacency, labels, theta, c_in, c_out)."""
     root = np.random.SeedSequence(params.seed)
     n_blocks = (params.n + _REFERENCE_BLOCK - 1) // _REFERENCE_BLOCK
     streams = root.spawn(2 + n_blocks)
@@ -124,6 +126,18 @@ class TestAffinityInversion:
         with pytest.raises(ValidationError, match="c_in"):
             solve_affinities(10.0, alpha, 4, 1.0)
 
+    @pytest.mark.parametrize(
+        "c, alpha", [(1e308, 1.0), (1e300, 1e300)], ids=["c-in-nan", "c-out-minus-inf"]
+    )
+    def test_float_overflow_is_a_validation_error(self, c, alpha):
+        """q c - (q - 1) c_out is inf - inf at c = 1e308, and alpha
+        sqrt(c) overflows at c = alpha = 1e300; either is one error
+        naming c and alpha, with no RuntimeWarning (which the suite's
+        warning filter would raise instead)."""
+        with pytest.raises(ValidationError) as info:
+            solve_affinities(c, alpha, 4, 1.0)
+        assert f"c={c}" in str(info.value) and f"alpha={alpha}" in str(info.value)
+
 
 @pytest.mark.parametrize(
     "fields, match",
@@ -137,9 +151,10 @@ class TestAffinityInversion:
         (dict(c=np.inf), "finite and positive"),
         (dict(alpha=np.nan), "finite and positive"),
         (dict(alpha=np.inf), "finite and positive"),
+        (dict(seed=-1), "seed must be non-negative"),
     ],
     ids=["n-one", "q-zero", "q-above-n", "recipe", "c-zero", "c-nan", "c-inf", "alpha-nan",
-         "alpha-inf"],
+         "alpha-inf", "seed-negative"],
 )
 def test_dcsbm_params_rejected(fields, match):
     with pytest.raises(ValidationError, match=match):
@@ -153,7 +168,7 @@ class TestDcsbmSample:
         inst = dcsbm_sample(
             DcsbmParams(n=800, q=2, c=10.0, alpha=alpha_cap, theta_recipe="unit", seed=0)
         )
-        assert inst.c_out == pytest.approx(0.0, abs=1e-12)
+        assert inst.params.c_out == pytest.approx(0.0, abs=1e-12)
         coo = inst.adjacency.tocoo()
         labels = inst.labels.labels
         assert np.all(labels[coo.row] == labels[coo.col])
@@ -186,7 +201,8 @@ class TestDcsbmSample:
         within_pairs = sum(c * (c - 1) / 2 for c in counts)
         cross_pairs = counts[0] * counts[1]
         ratio = (same.sum() / within_pairs) / ((~same).sum() / cross_pairs)
-        assert abs(ratio - inst.c_in / inst.c_out) / (inst.c_in / inst.c_out) < 0.10
+        expected = inst.params.c_in / inst.params.c_out
+        assert abs(ratio - expected) / expected < 0.10
 
     def test_full_benchmark_size_runs(self):
         inst = dcsbm_sample(
@@ -197,9 +213,7 @@ class TestDcsbmSample:
 
     def test_probability_above_one_names_offending_pair(self):
         with pytest.raises(ValidationError, match="theta_i"):
-            dcsbm_sample(
-                DcsbmParams(n=20, q=2, c=18.0, alpha=1.0, theta_recipe="powerlaw", seed=5)
-            )
+            DcsbmParams(n=20, q=2, c=18.0, alpha=1.0, theta_recipe="powerlaw", seed=5)
 
     def test_classes_too_many_for_the_nodes_are_rejected_within_a_second(self):
         """Filling q = n classes needs a permutation (probability n!/n^n);
@@ -212,7 +226,7 @@ class TestDcsbmSample:
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         try:
             with pytest.raises(ValidationError, match="q=30 .* n=30"):
-                dcsbm_sample(DcsbmParams(n=30, q=30, c=2.0, alpha=0.5, theta_recipe="unit"))
+                DcsbmParams(n=30, q=30, c=2.0, alpha=0.5, theta_recipe="unit")
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -285,8 +299,8 @@ class TestEdgeSamplerOracle:
             inst = dcsbm_sample(params)
             _, labels, theta, c_in, c_out = reference_dcsbm_sample(params)
             np.testing.assert_array_equal(inst.labels.labels, labels)
-            np.testing.assert_array_equal(inst.theta, theta)
-            assert (inst.c_in, inst.c_out) == (c_in, c_out)
+            np.testing.assert_array_equal(inst.params.theta, theta)
+            assert (inst.params.c_in, inst.params.c_out) == (c_in, c_out)
 
     @pytest.mark.parametrize("sampler", ["edge-linear", "reference"])
     def test_block_pair_counts_and_mean_degree_match_expectation(self, sampler):
@@ -302,8 +316,8 @@ class TestEdgeSamplerOracle:
             params = DcsbmParams(n=600, q=q, c=6.0, alpha=1.5, theta_recipe="powerlaw", seed=seed)
             if sampler == "edge-linear":
                 inst = dcsbm_sample(params)
-                A, labels, theta = inst.adjacency, inst.labels.labels, inst.theta
-                c_in, c_out = inst.c_in, inst.c_out
+                A, labels, theta = inst.adjacency, inst.labels.labels, inst.params.theta
+                c_in, c_out = inst.params.c_in, inst.params.c_out
             else:
                 A, labels, theta, c_in, c_out = reference_dcsbm_sample(params)
             probs = np.triu(dcsbm_probabilities(labels, theta, c_in, c_out), k=1)
@@ -336,11 +350,11 @@ class TestEdgeSamplerOracle:
             assert_canonical_graph(negative_binomial_graph(400, seed=seed))
 
     def test_probability_above_one_raises_like_the_reference(self):
-        params = DcsbmParams(n=20, q=2, c=18.0, alpha=1.0, theta_recipe="powerlaw", seed=5)
+        fields = dict(n=20, q=2, c=18.0, alpha=1.0, theta_recipe="powerlaw", seed=5)
         with pytest.raises(ValidationError, match="exceeds 1"):
-            reference_dcsbm_sample(params)
+            reference_dcsbm_sample(SimpleNamespace(**fields))
         with pytest.raises(ValidationError, match="exceeds 1"):
-            dcsbm_sample(params)
+            DcsbmParams(**fields)
 
     def test_negative_binomial_pairs_at_the_total_always_appear(self):
         """Pairs whose propensity product reaches the total have
@@ -433,6 +447,13 @@ class TestNegativeBinomialGraph:
         # At p this close to 1 every draw is 0 for any seed in practice.
         with pytest.raises(ValidationError, match="all propensities came out zero"):
             negative_binomial_graph(5, r=1, p=1.0 - 1e-12)
+
+    @pytest.mark.parametrize("r, p", [(3, 1e-20), (1e300, 0.5)], ids=["p-tiny", "r-huge"])
+    def test_parameters_beyond_numpy_sampler_are_rejected(self, r, p):
+        """numpy's sampler raises its own ValueError for r too large or p
+        too small; that is one ValidationError naming r and p."""
+        with pytest.raises(ValidationError, match=re.escape(f"r={r}, p={p}")):
+            negative_binomial_graph(20, r=r, p=p)
 
     def test_p_of_one_is_rejected_as_out_of_range(self):
         # At p = 1 every propensity is 0, whatever the seed.

@@ -35,7 +35,6 @@ def test_every_export_resolves():
 #: as (importer, source, name): helpers shared across that boundary on
 #: purpose.
 _PRIVATE_IMPORTS = {
-    ("evaluate", "graphs", "_affinities"),
     ("graphs", "matstore", "_real"),
     ("mixture", "matstore", "_real"),
     ("optimizer", "znorm", "_log_sum_exp"),
