@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_whole
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,8 +171,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             resolved["seed"] = int(os.environ.get("EDREP_SEED", "0"))
         except ValueError as exc:
             raise _UsageError(f"EDREP_SEED is not an integer: {exc}") from exc
-    if resolved.get("seed", 0) < 0:
-        raise ValidationError(f"seed must be non-negative, got {resolved['seed']}")
+    check_whole(resolved.get("seed", 0), "seed", 0)
     missing = [opt for opt, value in resolved.items() if value is None]
     if missing:
         raise _UsageError(
@@ -237,10 +236,8 @@ def _cmd_estimate_z(resolved: dict) -> Path:
     bad = set(methods) - {"exact", "mixture", "performer", "rfa"}
     if bad:
         raise ValidationError(f"unknown estimation method(s): {sorted(bad)}")
-    if resolved["samples"] < 1:
-        raise ValidationError(f"--samples must be at least 1, got {resolved['samples']}")
-    if resolved["features"] < 1:
-        raise ValidationError(f"--features must be at least 1, got {resolved['features']}")
+    check_whole(resolved["samples"], "--samples", 1)
+    check_whole(resolved["features"], "--features", 1)
     emb = eio.load_dense(resolved["embedding"])
     n, d = emb.shape
     check_kappa(resolved["kappa"], n, "the embedding")
@@ -287,9 +284,7 @@ def _run_fit(resolved: dict, exact: bool) -> Path:
     from .optimizer import LOG_COLUMNS, fit, fit_exact
 
     cfg = _optimizer_config(resolved)
-    every = resolved.get("checkpoint-every", 0)
-    if every < 0:
-        raise ValidationError(f"--checkpoint-every must be at least 0, got {every}")
+    every = check_whole(resolved.get("checkpoint-every", 0), "--checkpoint-every", 0)
     # The reader checks that the operator is row-stochastic.
     chain = eio.load_operator(resolved["operator"])
     check_kappa(cfg.kappa, chain.shape[0], "the operator")
@@ -317,8 +312,7 @@ def _cmd_dcsbm_bench(resolved: dict) -> Path:
     from .evaluate import dcsbm_benchmark
 
     alphas = _comma_list(resolved, "alphas", float)
-    if resolved["seeds"] < 1:
-        raise ValidationError(f"--seeds must be at least 1, got {resolved['seeds']}")
+    check_whole(resolved["seeds"], "--seeds", 1)
     # The benchmark checks its whole grid before it samples a graph.
     rows = dcsbm_benchmark(
         n=resolved["n"],
@@ -398,9 +392,7 @@ def _cmd_concentration(resolved: dict) -> Path:
     from . import io as eio
     from .znorm import concentration_probe
 
-    d = resolved["d"]
-    if d < 1:
-        raise ValidationError(f"--d must be at least 1, got {d}")
+    d = check_whole(resolved["d"], "--d", 1)
     m_grid = _comma_list(resolved, "m-grid", int)
     rng = np.random.default_rng(resolved["seed"])
     x = rng.standard_normal(d)
@@ -453,6 +445,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"edrep: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"edrep: validation error: cannot allocate: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         # An error on opening names its file; one while writing only the error.
         path = exc.filename or resolved["out"]

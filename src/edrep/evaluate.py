@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_whole
 from .graphs import DcsbmInstance, DcsbmParams, dcsbm_sample, walk_operator
 from .matstore import as_dense
 from .mixture import check_kappa, kmeans_label
@@ -114,12 +114,11 @@ def dcsbm_benchmark(
     window and the mixture order are checked before the first graph is sampled.
     """
     grid = [
-        DcsbmParams(n=n, q=q, c=c, alpha=float(alpha), theta_recipe=theta_recipe, seed=int(seed))
+        DcsbmParams(n=n, q=q, c=c, alpha=float(alpha), theta_recipe=theta_recipe, seed=seed)
         for alpha in alphas
         for seed in seeds
     ]
-    if w < 1:
-        raise ValidationError(f"walk window must be positive, got {w}")
+    check_whole(w, "walk window w", 1)
     check_kappa(cfg.kappa, n, "each graph")
     rows = []
     for params in grid:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
+from .errors import ValidationError, check_whole
 from .matstore import ProductChain, _real, as_csr, row_normalize
 from .mixture import LabelVector
 
@@ -49,14 +49,13 @@ class DcsbmParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.q < 1 or self.q > self.n:
+        if check_whole(self.n, "node count n", 2) < check_whole(self.q, "community count q", 1):
             raise ValidationError(f"bad node/community counts n={self.n}, q={self.q}")
         if not (0 < self.c < np.inf and 0 < self.alpha < np.inf):
             raise ValidationError(f"c={self.c} and alpha={self.alpha} must be finite and positive")
         if self.theta_recipe not in ("unit", "powerlaw"):
             raise ValidationError(f"unknown theta recipe {self.theta_recipe!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        check_whole(self.seed, "seed", 0)
         label_seq, theta_seq = np.random.SeedSequence(self.seed).spawn(2)
         theta = _draw_theta(self.theta_recipe, self.n, np.random.default_rng(theta_seq))
         c_in, c_out = solve_affinities(self.c, self.alpha, self.q, float(np.mean(theta**2)))
@@ -199,8 +198,7 @@ def walk_operator(adjacency, w: int) -> ProductChain:
     O(w E d) instead of densifying matrix powers.  Degree-0 nodes keep
     their mass through the self-loop rule of row normalization.
     """
-    if w < 1:
-        raise ValidationError(f"walk window must be positive, got {w}")
+    check_whole(w, "walk window w", 1)
     # A weighted chain rejects a factor that is not square.
     return ProductChain([row_normalize(adjacency)] * w, weights=np.full(w, 1.0 / w))
 
@@ -218,14 +216,13 @@ def negative_binomial_graph(
     :func:`_pair_edges`, O(n + E); nodes with theta = 0 stay isolated.
     Row-normalize the result to obtain the operator.
     """
-    if n < 1:
-        raise ValidationError(f"negative binomial graph needs n >= 1, got {n}")
+    check_whole(n, "node count n", 1)
     if not (r > 0 and 0 < p < 1):
         raise ValidationError(
             f"negative binomial needs r > 0 and 0 < p < 1 (at p = 1 every propensity "
             f"is 0), got r={r}, p={p}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_whole(seed, "seed", 0))
     try:
         theta = rng.negative_binomial(r, p, size=n).astype(np.float64)
     except ValueError as exc:

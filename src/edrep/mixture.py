@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .errors import ValidationError
+from .errors import ValidationError, check_whole
 from .matstore import _real, as_dense
 
 #: Covariance eigenvalues may undershoot zero by at most this much.
@@ -54,8 +54,7 @@ def _row_sq_norms(Y: np.ndarray) -> np.ndarray:
 
 def check_kappa(kappa: int, rows: int, what: str) -> None:
     """A mixture of order kappa needs at least one row of ``what`` per class."""
-    if not 1 <= kappa <= rows:
-        raise ValidationError(f"kappa={kappa} must lie between 1 and the {rows} rows of {what}")
+    check_whole(kappa, f"kappa for the {rows} rows of {what}", 1, rows)
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class LabelVector:
             )
         arr = np.ascontiguousarray(raw, dtype=np.int64)
         object.__setattr__(self, "labels", arr)
-        counts = np.bincount(arr, minlength=self.kappa + 1)[1:]
+        counts = self.counts()
         if np.any(counts == 0):
             empty = np.flatnonzero(counts == 0) + 1
             raise ValidationError(f"classes {empty.tolist()} are empty")
@@ -117,8 +116,7 @@ class MixtureParams:
         k, d = mu.shape
         if pi.size != k or omega.shape != (k, d, d):
             raise ValidationError("mixture parameter shapes disagree")
-        if self.m < 1:
-            raise ValidationError("mixture source count m must be positive")
+        check_whole(self.m, "mixture source count m", 1)
         for name, arr in (("pi", pi), ("mu", mu), ("omega", omega)):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"mixture parameter {name} contains non-finite entries")
@@ -210,11 +208,10 @@ def kmeans_label(Y: np.ndarray, kappa: int, seed: int, restarts: int = 1) -> Lab
     Y = as_dense(Y)
     n = Y.shape[0]
     check_kappa(kappa, n, "the clustered matrix")
-    if restarts < 1:
-        raise ValidationError(f"restarts must be positive, got {restarts}")
+    check_whole(restarts, "restarts", 1)
+    rng = np.random.default_rng(check_whole(seed, "seed", 0))
     if kappa == 1:
         return LabelVector(np.ones(n, dtype=np.int64), 1)
-    rng = np.random.default_rng(seed)
     cuts = _block_cuts(n, _LLOYD_BLOCK)
     sq_norms = _row_sq_norms(Y)
     best_labels, best_inertia = None, np.inf

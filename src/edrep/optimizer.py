@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ValidationError
+from .errors import DimensionError, NumericError, ValidationError, check_whole
 from .matstore import (
     as_chain, as_dense, uniform_weights, unit_rows, validate_regularization_weights
 )
@@ -58,12 +58,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"embedding dimension must be positive, got {self.d}")
+        check_whole(self.d, "embedding dimension d", 1)
         if not 0.0 < self.eta0 <= 1.0:
             raise ValidationError(f"eta0 must lie in (0, 1], got {self.eta0}")
-        if self.n_epochs < 1:
-            raise ValidationError(f"n_epochs must be positive, got {self.n_epochs}")
+        check_whole(self.n_epochs, "n_epochs", 1)
+        check_whole(self.seed, "seed", 0)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ValidationError
+from .errors import DimensionError, NumericError, ValidationError, check_whole
 from .matstore import _real, as_dense
 from .mixture import MixtureParams, _block_cuts, _row_sq_norms
 
@@ -231,9 +231,8 @@ class KernelFeatureMap:
 
     @classmethod
     def from_seed(cls, d: int, n_features: int, seed: int) -> "KernelFeatureMap":
-        if n_features < 1 or d < 1:
-            raise ValidationError("feature map dimensions must be positive")
-        return cls(W=np.random.default_rng(seed).standard_normal((n_features, d)))
+        shape = (check_whole(n_features, "feature count D", 1), check_whole(d, "dimension d", 1))
+        return cls(W=np.random.default_rng(check_whole(seed, "seed", 0)).standard_normal(shape))
 
 
 def _performer_features(V: np.ndarray, W: np.ndarray, phi: np.ndarray) -> None:
@@ -381,12 +380,11 @@ def concentration_probe(
     ``repeats`` independent draws).
     """
     x = np.ascontiguousarray(_real(np.asarray(x), "x"), dtype=np.float64).ravel()
-    if repeats < 2:
-        raise ValidationError("need at least 2 repeats for a standard deviation")
-    m_grid = [int(m) for m in m_grid]
-    if min(m_grid, default=0) < 1:
-        raise ValidationError(f"key counts must be positive, got {m_grid}")
-    rng = np.random.default_rng(seed)
+    check_whole(repeats, "repeats", 2)
+    m_grid = [check_whole(m, "key count m", 1) for m in m_grid]
+    if not m_grid:
+        raise ValidationError("the grid of key counts is empty")
+    rng = np.random.default_rng(check_whole(seed, "seed", 0))
     rows = []
     for m in m_grid:
         vals = np.empty(repeats)

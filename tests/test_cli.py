@@ -265,6 +265,34 @@ def test_failed_write_is_one_line_naming_the_path(tmp_path, capsys, monkeypatch)
     assert err.count("\n") == 1 and str(target) in err and "No space left" in err
 
 
+#: 10**14 float64 values take 728 TiB, past the 128 TiB of an x86-64
+#: process's address space, so the allocation fails at once in any
+#: overcommit mode and no page is touched.
+_HUGE = 10**14
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate-z", "--methods", "performer", "--features", _HUGE),
+        ("fit", "--dim", _HUGE),
+        ("concentration", "--m-grid", _HUGE),
+        ("concentration", "--d", _HUGE),
+        ("dcsbm-bench", "--n", _HUGE),
+        ("deviation", "--n", _HUGE),
+    ],
+    ids=["estimate-z-features", "fit-dim", "concentration-m", "concentration-d",
+         "dcsbm-bench-n", "deviation-n"],
+)
+def test_size_that_cannot_be_allocated_is_one_line(
+    argv, embedding_csv, operator_mtx, tmp_path, capsys
+):
+    inputs = {"estimate-z": ("--embedding", embedding_csv), "fit": ("--operator", operator_mtx)}
+    assert run(*argv, *inputs.get(argv[0], ()), "--out", tmp_path / "out") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("edrep: validation error: cannot allocate: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, option, name, content",
     [
@@ -628,7 +656,7 @@ def test_negative_seed_from_env_or_config_fails_before_any_work(
         argv += ("--config", config)
     out = tmp_path / "out"
     assert run(*argv, "--out", out) == EXIT_VALIDATION
-    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert "seed must be a whole number of at least 0, got -1" in capsys.readouterr().err
     assert expensive_calls == []
     assert not out.exists()
 

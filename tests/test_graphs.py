@@ -142,8 +142,8 @@ class TestAffinityInversion:
 @pytest.mark.parametrize(
     "fields, match",
     [
-        (dict(n=1), "bad node/community counts"),
-        (dict(q=0), "bad node/community counts"),
+        (dict(n=1), "node count n must be a whole number of at least 2, got 1"),
+        (dict(q=0), "community count q must be a whole number of at least 1, got 0"),
         (dict(q=11), "bad node/community counts"),
         (dict(theta_recipe="lognormal"), "unknown theta recipe"),
         (dict(c=0.0), "finite and positive"),
@@ -151,7 +151,7 @@ class TestAffinityInversion:
         (dict(c=np.inf), "finite and positive"),
         (dict(alpha=np.nan), "finite and positive"),
         (dict(alpha=np.inf), "finite and positive"),
-        (dict(seed=-1), "seed must be non-negative"),
+        (dict(seed=-1), "seed must be a whole number of at least 0, got -1"),
     ],
     ids=["n-one", "q-zero", "q-above-n", "recipe", "c-zero", "c-nan", "c-inf", "alpha-nan",
          "alpha-inf", "seed-negative"],
@@ -440,7 +440,8 @@ class TestNegativeBinomialGraph:
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_node_count_must_be_positive(self, n):
-        with pytest.raises(ValidationError, match="n >= 1"):
+        match = f"node count n must be a whole number of at least 1, got {n}$"
+        with pytest.raises(ValidationError, match=match):
             negative_binomial_graph(n)
 
     def test_all_zero_propensities_rejected(self):

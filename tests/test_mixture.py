@@ -106,7 +106,8 @@ class TestLabelVector:
         "labels, kappa, match",
         [
             (np.array([], dtype=np.int64), 1, "nonempty vector"),
-            (np.array([1, 1]), 0, "kappa=0 must lie between 1 and the 2 rows"),
+            (np.array([1, 1]), 0,
+             "kappa for the 2 rows of the label vector must be a whole number from 1 to 2, got 0"),
         ],
         ids=["empty", "kappa-zero"],
     )
@@ -521,7 +522,8 @@ class TestMixtureParamsChecks:
             (np.ones((1, 1)), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1, "wrong ranks"),
             (np.full(2, 0.5), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1, "disagree"),
             (np.ones(1), np.zeros((1, 2)), np.zeros((1, 3, 3)), 1, "disagree"),
-            (np.ones(1), np.zeros((1, 2)), np.zeros((1, 2, 2)), 0, "m must be positive"),
+            (np.ones(1), np.zeros((1, 2)), np.zeros((1, 2, 2)), 0,
+             "source count m must be a whole number of at least 1, got 0"),
             (np.full(2, 0.4), np.zeros((2, 2)), np.zeros((2, 2, 2)), 2, "sum to 1"),
             (np.ones(1, dtype=bool), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1,
              "pi must hold real numbers, got dtype bool"),

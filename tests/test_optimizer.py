@@ -445,7 +445,9 @@ class TestFit:
         steps = []
         monkeypatch.setattr(edrep.optimizer, "sphere_step", lambda *a: steps.append(a))
         cfg = OptimizerConfig(d=3, n_epochs=2, kappa=31)
-        match = "kappa=31 must lie between 1 and the 30 rows of the key embedding"
+        match = (
+            "kappa for the 30 rows of the key embedding must be a whole number from 1 to 30, got 31"
+        )
         with pytest.raises(ValidationError, match=match):
             fit(random_operator(30, 26), cfg)
         assert steps == []

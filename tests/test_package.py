@@ -65,6 +65,39 @@ def test_private_imports_between_modules_are_listed():
     assert found == _PRIVATE_IMPORTS
 
 
+#: Seed expressions that reach numpy's generators unwrapped, each checked
+#: by ``errors.check_whole`` before it gets there: the seed fields of
+#: objects whose constructor runs the rule, the substreams spawned from
+#: such a field, and the command line's seed, checked when it is resolved.
+_CHECKED_SEEDS = {
+    "cfg.seed",
+    "self.seed",
+    "params.seed",
+    "theta_seq",
+    "label_seq",
+    "np.random.SeedSequence(params.seed).spawn(3)[2]",
+    "resolved['seed']",
+}
+
+
+def test_every_seed_reaches_numpy_checked():
+    """Every seed given to ``np.random.default_rng`` or ``SeedSequence``
+    is a ``check_whole`` call or one of the checked expressions above,
+    so an unchecked seed is a visible change."""
+    package = Path(edrep.__file__).resolve().parent
+    unchecked = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) or ast.unparse(node.func) not in {
+                "np.random.default_rng", "np.random.SeedSequence"
+            }:
+                continue
+            seed = ast.unparse(node.args[0]) if node.args else ""
+            if not seed.startswith("check_whole(") and seed not in _CHECKED_SEEDS:
+                unchecked.append((path.stem, node.lineno, seed))
+    assert unchecked == []
+
+
 #: Exports that only tests call, each kept for a stated reason.
 _TEST_ONLY_EXPORTS = {
     # The gradient that criteria 3 and 8 check against finite

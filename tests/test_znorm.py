@@ -756,8 +756,10 @@ class TestInputChecks:
             (lambda: KernelFeatureMap(W=np.array([[1.0, np.nan]])), "non-finite"),
             (lambda: KernelFeatureMap(W=np.empty((0, 3))), "rows and columns"),
             (lambda: KernelFeatureMap(W=np.empty((3, 0))), "rows and columns"),
-            (lambda: KernelFeatureMap.from_seed(0, 8, 0), "must be positive"),
-            (lambda: KernelFeatureMap.from_seed(3, 0, 0), "must be positive"),
+            (lambda: KernelFeatureMap.from_seed(0, 8, 0),
+             "dimension d must be a whole number of at least 1, got 0"),
+            (lambda: KernelFeatureMap.from_seed(3, 0, 0),
+             "feature count D must be a whole number of at least 1, got 0"),
         ],
         ids=["1-d", "nan", "no-rows", "no-columns", "seed-no-dims", "seed-no-features"],
     )
@@ -776,7 +778,8 @@ class TestInputChecks:
             error_cdf(ref, ZEstimate(np.ones(2), "mixture(1)"))
 
     def test_concentration_probe_needs_two_repeats(self):
-        with pytest.raises(ValidationError, match="2 repeats"):
+        match = "repeats must be a whole number of at least 2, got 1"
+        with pytest.raises(ValidationError, match=match):
             concentration_probe(lambda m, rng: np.zeros((m, 2)), np.ones(2), [4], 1)
 
     def test_concentration_probe_query_must_be_real(self):
@@ -850,7 +853,10 @@ class TestConcentrationProbe:
         def sampler(m, rng):
             return rng.standard_normal((m, 2))
 
-        with pytest.raises(ValidationError, match="key counts"):
+        match = "grid of key counts is empty"
+        if m_grid:
+            match = f"key count m must be a whole number of at least 1, got {m_grid[-1]}$"
+        with pytest.raises(ValidationError, match=match):
             concentration_probe(sampler, np.array([1.0, 0.0]), m_grid, 5)
 
     def test_tail_bound_anchor_is_vacuous_at_matched_scale(self):
