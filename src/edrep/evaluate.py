@@ -114,7 +114,7 @@ def dcsbm_benchmark(
     window and the mixture order are checked before the first graph is sampled.
     """
     grid = [
-        DcsbmParams(n=n, q=q, c=c, alpha=float(alpha), theta_recipe=theta_recipe, seed=seed)
+        DcsbmParams(n=n, q=q, c=c, alpha=alpha, theta_recipe=theta_recipe, seed=seed)
         for alpha in alphas
         for seed in seeds
     ]

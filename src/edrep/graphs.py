@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError, check_whole
+from .errors import ValidationError, check_real, check_whole
 from .matstore import ProductChain, _real, as_csr, row_normalize
 from .mixture import LabelVector
 
@@ -51,8 +51,8 @@ class DcsbmParams:
     def __post_init__(self):
         if check_whole(self.n, "node count n", 2) < check_whole(self.q, "community count q", 1):
             raise ValidationError(f"bad node/community counts n={self.n}, q={self.q}")
-        if not (0 < self.c < np.inf and 0 < self.alpha < np.inf):
-            raise ValidationError(f"c={self.c} and alpha={self.alpha} must be finite and positive")
+        for name, what in (("c", "mean degree c"), ("alpha", "hardness alpha")):
+            object.__setattr__(self, name, check_real(getattr(self, name), what))
         if self.theta_recipe not in ("unit", "powerlaw"):
             raise ValidationError(f"unknown theta recipe {self.theta_recipe!r}")
         check_whole(self.seed, "seed", 0)
@@ -217,11 +217,8 @@ def negative_binomial_graph(
     Row-normalize the result to obtain the operator.
     """
     check_whole(n, "node count n", 1)
-    if not (r > 0 and 0 < p < 1):
-        raise ValidationError(
-            f"negative binomial needs r > 0 and 0 < p < 1 (at p = 1 every propensity "
-            f"is 0), got r={r}, p={p}"
-        )
+    check_real(r, "negative binomial r")
+    check_real(p, "negative binomial p", 1)  # at p = 1 every propensity is 0
     rng = np.random.default_rng(check_whole(seed, "seed", 0))
     try:
         theta = rng.negative_binomial(r, p, size=n).astype(np.float64)
@@ -239,7 +236,7 @@ def negative_binomial_graph(
 def _whole_numbers(values, name: str) -> np.ndarray:
     """``values`` as int64; a float entry that is not a whole number is
     refused rather than truncated by the cast.  Integer input needs no scan."""
-    A = _real(np.asarray(values), name)
+    A = _real(values, name)
     if A.dtype.kind == "f":
         bad = np.flatnonzero(~((np.trunc(A) == A) & (np.abs(A) < 2.0**63)))
         if bad.size:
@@ -265,7 +262,7 @@ class TemporalEdgeList:
 
     def __post_init__(self):
         i, j, t = (_whole_numbers(getattr(self, name), name) for name in "ijt")
-        w = np.ascontiguousarray(_real(np.asarray(self.w), "w"), dtype=np.float64)
+        w = np.ascontiguousarray(_real(self.w, "w"), dtype=np.float64)
         for name, arr in (("i", i), ("j", j), ("t", t), ("w", w)):
             object.__setattr__(self, name, arr)
         if not (i.ndim == j.ndim == t.ndim == w.ndim == 1) or len(

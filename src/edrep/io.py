@@ -16,6 +16,7 @@ import scipy.io as spio
 import scipy.sparse as sp
 
 from .errors import ValidationError
+from .graphs import _whole_numbers
 from .matstore import ProductChain, as_csr, as_dense
 
 _MAGIC = b"EDR1"
@@ -139,8 +140,8 @@ def load_operator(path) -> ProductChain:
 
 
 def save_labels(path, labels) -> None:
-    """One integer label per line."""
-    arr = np.asarray(getattr(labels, "labels", labels), dtype=np.int64)
+    """One integer label per line; a label that is not whole is refused."""
+    arr = _whole_numbers(getattr(labels, "labels", labels), "labels")
     np.savetxt(path, arr, fmt="%d")
 
 

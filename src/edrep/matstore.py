@@ -35,29 +35,32 @@ ROW_STOCHASTIC_TOL = 1e-9
 
 
 def _real(A, name: str):
-    """``A`` itself if its dtype holds integers or real floating-point
-    numbers; a float64 cast would drop an imaginary part, or turn
-    booleans, strings and objects into numbers, without a word."""
+    """``A`` as an array (a sparse matrix passes through) of integers or real
+    floats; a float64 cast would drop an imaginary part, or turn booleans,
+    strings and objects into numbers, without a word."""
+    if not sp.issparse(A):
+        try:
+            A = np.asarray(A)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{name} must be a rectangular array of numbers: {exc}") from exc
     if A.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must hold real numbers, got dtype {A.dtype}")
     return A
 
 
-def as_dense(X, name: str = "matrix") -> np.ndarray:
-    """Return ``X`` as an aligned, C-contiguous 2-D float64 array,
-    checking that entries are finite.
+def as_dense(X, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Return ``X`` as an aligned, C-contiguous float64 array of rank
+    ``ndim``, checking that entries are finite.
 
     An array that already has that form is returned itself; anything
     else is copied once.  That includes a misaligned view, one whose
     data does not start on an 8-byte boundary: BLAS and numpy's loops
     take a slow path on every later call that reads it.
     """
-    A = np.asarray(X)
-    if A.ndim != 2:
-        raise ValidationError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
-    A = np.ascontiguousarray(_real(A, name), dtype=np.float64)
-    if not A.flags.aligned:
-        A = A.copy()
+    A = _real(X, name)
+    if sp.issparse(A) or A.ndim != ndim:
+        raise ValidationError(f"{name} must be a dense {ndim}-dimensional array, got ndim={A.ndim}")
+    A = np.require(A, np.float64, ["C_CONTIGUOUS", "ALIGNED"])
     # Two reductions, which propagate NaN, instead of np.isfinite(A), which
     # would allocate a boolean copy of A.
     if not (np.isfinite(A.min(initial=0.0)) and np.isfinite(A.max(initial=0.0))):
@@ -67,7 +70,7 @@ def as_dense(X, name: str = "matrix") -> np.ndarray:
 
 def as_csr(A, name: str = "matrix") -> sp.csr_matrix:
     """Return ``A`` as a canonical float64 CSR matrix."""
-    M = sp.csr_matrix(_real(A if sp.issparse(A) else np.asarray(A), name), dtype=np.float64)
+    M = sp.csr_matrix(_real(A, name), dtype=np.float64)
     M.sum_duplicates()
     M.sort_indices()
     if not np.all(np.isfinite(M.data)):
@@ -78,13 +81,11 @@ def as_csr(A, name: str = "matrix") -> sp.csr_matrix:
 def validate_regularization_weights(p0, n: int) -> np.ndarray:
     """Check that ``p0`` is a nonnegative vector of length ``n`` summing
     to 1 within 1e-12."""
-    w = np.ascontiguousarray(_real(np.asarray(p0), "regularization weights"), dtype=np.float64)
-    if w.ndim != 1:
-        raise ValidationError("regularization weights must be a vector")
+    w = as_dense(p0, "regularization weights", ndim=1)
     if w.size != n:
         raise DimensionError(f"regularization weights have length {w.size}, expected {n}")
-    if w.size == 0 or np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValidationError("regularization weights must be finite and nonnegative")
+    if np.any(w < 0):
+        raise ValidationError("regularization weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValidationError(f"regularization weights sum to {w.sum()!r}, expected 1")
     return w
@@ -225,18 +226,13 @@ class ProductChain:
         if weights is None:
             self.weights = None
         else:
-            try:
-                w = np.asarray(weights)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"prefix weights must be numbers: {exc}") from exc
-            w = np.ascontiguousarray(_real(w, "prefix weights"), dtype=np.float64)
+            w = _real(weights, "prefix weights")
             if w.shape != (len(self.factors),):
                 raise DimensionError(
                     f"prefix weights have shape {w.shape}, expected "
                     f"({len(self.factors)},), one per factor"
                 )
-            if not np.all(np.isfinite(w)):
-                raise ValidationError("prefix weights must be finite")
+            w = as_dense(w, "prefix weights", ndim=1)
             for k, f in enumerate(self.factors):
                 if f.shape[0] != f.shape[1] or f.shape != self.factors[0].shape:
                     raise DimensionError(

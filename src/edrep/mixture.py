@@ -65,7 +65,7 @@ class LabelVector:
     kappa: int
 
     def __post_init__(self):
-        raw = _real(np.asarray(self.labels), "labels")
+        raw = _real(self.labels, "labels")
         if raw.ndim != 1 or raw.size == 0:
             raise ValidationError("labels must form a nonempty vector")
         check_kappa(self.kappa, raw.size, "the label vector")
@@ -104,22 +104,14 @@ class MixtureParams:
     m: int               # number of vectors the moments were estimated from
 
     def __post_init__(self):
-        pi, mu, omega = (
-            np.ascontiguousarray(_real(np.asarray(getattr(self, name)), name), dtype=np.float64)
-            for name in ("pi", "mu", "omega")
-        )
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "omega", omega)
-        if pi.ndim != 1 or mu.ndim != 2 or omega.ndim != 3:
-            raise ValidationError("mixture parameter arrays have wrong ranks")
+        for name, ndim in (("pi", 1), ("mu", 2), ("omega", 3)):
+            arr = as_dense(getattr(self, name), f"mixture parameter {name}", ndim)
+            object.__setattr__(self, name, arr)
+        pi, mu, omega = self.pi, self.mu, self.omega
         k, d = mu.shape
         if pi.size != k or omega.shape != (k, d, d):
             raise ValidationError("mixture parameter shapes disagree")
         check_whole(self.m, "mixture source count m", 1)
-        for name, arr in (("pi", pi), ("mu", mu), ("omega", omega)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"mixture parameter {name} contains non-finite entries")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValidationError("class fractions must be nonnegative and sum to 1")
         # reshape(d, -1) would fail at d = 0, and so would the reductions
@@ -205,7 +197,7 @@ def kmeans_label(Y: np.ndarray, kappa: int, seed: int, restarts: int = 1) -> Lab
     members, so a repair never empties another class.  With ``restarts``
     > 1, the labeling with the lowest within-cluster sum of squares is kept.
     """
-    Y = as_dense(Y)
+    Y = as_dense(Y, name="Y")
     n = Y.shape[0]
     check_kappa(kappa, n, "the clustered matrix")
     check_whole(restarts, "restarts", 1)

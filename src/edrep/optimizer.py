@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ValidationError, check_whole
+from .errors import DimensionError, NumericError, ValidationError, check_real, check_whole
 from .matstore import (
     as_chain, as_dense, uniform_weights, unit_rows, validate_regularization_weights
 )
@@ -59,8 +59,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         check_whole(self.d, "embedding dimension d", 1)
-        if not 0.0 < self.eta0 <= 1.0:
-            raise ValidationError(f"eta0 must lie in (0, 1], got {self.eta0}")
+        object.__setattr__(self, "eta0", check_real(self.eta0, "learning rate eta0", 1, True))
         check_whole(self.n_epochs, "n_epochs", 1)
         check_whole(self.seed, "seed", 0)
 
@@ -262,8 +261,7 @@ def sphere_step(X: np.ndarray, g, eta: float) -> np.ndarray:
     g = as_dense(g, name="g")
     if g.shape != X.shape:
         raise DimensionError(f"gradient shape {g.shape} vs embedding {X.shape}")
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"eta must lie in (0, 1], got {eta}")
+    eta = check_real(eta, "learning rate eta", 1, closed=True)
     gpp, mask = unit_tangential(g, X)
     moved = np.sqrt(1.0 - eta * eta) * X - eta * gpp
     norms = np.linalg.norm(moved, axis=1)

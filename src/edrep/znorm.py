@@ -60,7 +60,7 @@ class ZEstimate:
     clamped: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = np.ascontiguousarray(_real(self.values, "Z values"), dtype=np.float64)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
             raise ValidationError("Z values must form a vector")
@@ -379,7 +379,7 @@ def concentration_probe(
     three-column table (m, mean of Z/m, sample std of Z/m over
     ``repeats`` independent draws).
     """
-    x = np.ascontiguousarray(_real(np.asarray(x), "x"), dtype=np.float64).ravel()
+    x = np.ascontiguousarray(_real(x, "x"), dtype=np.float64).ravel()
     check_whole(repeats, "repeats", 2)
     m_grid = [check_whole(m, "key count m", 1) for m in m_grid]
     if not m_grid:
@@ -389,7 +389,7 @@ def concentration_probe(
     for m in m_grid:
         vals = np.empty(repeats)
         for r in range(repeats):
-            Y = as_dense(np.asarray(sampler(m, rng)), name="sampled keys")
+            Y = as_dense(sampler(m, rng), name="sampled keys")
             vals[r] = exact_z(x[None, :], Y).values[0] / m
         rows.append((float(m), vals.mean(), vals.std(ddof=1)))
     return np.array(rows)

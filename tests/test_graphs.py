@@ -146,11 +146,11 @@ class TestAffinityInversion:
         (dict(q=0), "community count q must be a whole number of at least 1, got 0"),
         (dict(q=11), "bad node/community counts"),
         (dict(theta_recipe="lognormal"), "unknown theta recipe"),
-        (dict(c=0.0), "finite and positive"),
-        (dict(c=np.nan), "finite and positive"),
-        (dict(c=np.inf), "finite and positive"),
-        (dict(alpha=np.nan), "finite and positive"),
-        (dict(alpha=np.inf), "finite and positive"),
+        (dict(c=0.0), r"mean degree c must be a real number in \(0, inf\), got 0.0$"),
+        (dict(c=np.nan), r"mean degree c must be a real number in \(0, inf\), got nan$"),
+        (dict(c=np.inf), r"mean degree c must be a real number in \(0, inf\), got inf$"),
+        (dict(alpha=np.nan), r"hardness alpha must be a real number in \(0, inf\), got nan$"),
+        (dict(alpha=np.inf), r"hardness alpha must be a real number in \(0, inf\), got inf$"),
         (dict(seed=-1), "seed must be a whole number of at least 0, got -1"),
     ],
     ids=["n-one", "q-zero", "q-above-n", "recipe", "c-zero", "c-nan", "c-inf", "alpha-nan",
@@ -458,7 +458,8 @@ class TestNegativeBinomialGraph:
 
     def test_p_of_one_is_rejected_as_out_of_range(self):
         # At p = 1 every propensity is 0, whatever the seed.
-        with pytest.raises(ValidationError, match="0 < p < 1"):
+        match = r"negative binomial p must be a real number in \(0, 1\), got 1.0$"
+        with pytest.raises(ValidationError, match=match):
             negative_binomial_graph(50, p=1.0)
 
 

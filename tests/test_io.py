@@ -140,6 +140,23 @@ def test_labels_round_trip(tmp_path):
     assert path.read_text().splitlines() == ["1", "2", "2", "3", "1"]
 
 
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        ([1.5, 2.7], r"labels must hold whole numbers, offending records \[0, 1\]"),
+        ([True, False], "labels must hold real numbers, got dtype bool"),
+        ([1.0, 2.0**70], r"labels must hold whole numbers, offending records \[1\]"),
+    ],
+    ids=["fractional", "bools", "past-int64"],
+)
+def test_labels_that_are_not_whole_are_refused(tmp_path, labels, match):
+    """Not written as 1, 2, as 1, 0, or as -2**63 after a RuntimeWarning."""
+    path = tmp_path / "labels.txt"
+    with pytest.raises(ValidationError, match=match):
+        eio.save_labels(path, labels)
+    assert not path.exists()
+
+
 def test_temporal_csv_reader(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("# i,j,t,w\n1,2,1,1.5\n2,3,2,2.0\n")

@@ -607,7 +607,7 @@ class TestRegularizationWeights:
         (lambda: ProductChain([]), ValidationError, "at least one factor"),
         (lambda: ProductChain([sp.eye(2)], weights=[np.nan]), ValidationError, "finite"),
         (lambda: ProductChain([sp.eye(2)] * 2, weights=[[1], [1, 2]]), ValidationError,
-         "prefix weights must be numbers"),
+         "prefix weights must be a rectangular array of numbers: setting an array element"),
         (lambda: ProductChain([sp.eye(2)], weights=np.array([1 + 1j])), ValidationError,
          "prefix weights must hold real numbers, got dtype complex128"),
         (lambda: ProductChain([sp.csr_matrix(np.ones((2, 3)))], weights=[1.0]), DimensionError,
@@ -617,7 +617,7 @@ class TestRegularizationWeights:
         (lambda: row_normalize(sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))),
          ValidationError, r"rectangular matrix: rows \[1\]"),
         (lambda: validate_regularization_weights(np.full((2, 2), 0.25), 4), ValidationError,
-         "must be a vector"),
+         "regularization weights must be a dense 1-dimensional array, got ndim=2"),
     ],
     ids=["dense-3d", "csr-non-finite", "weights-not-vector", "no-factors", "weights-non-finite",
          "weights-ragged", "weights-complex", "weighted-non-square", "transpose-operand-rows",

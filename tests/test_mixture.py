@@ -519,7 +519,8 @@ class TestMixtureParamsChecks:
     @pytest.mark.parametrize(
         "pi, mu, omega, m, match",
         [
-            (np.ones((1, 1)), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1, "wrong ranks"),
+            (np.ones((1, 1)), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1,
+             "mixture parameter pi must be a dense 1-dimensional array, got ndim=2"),
             (np.full(2, 0.5), np.zeros((1, 2)), np.zeros((1, 2, 2)), 1, "disagree"),
             (np.ones(1), np.zeros((1, 2)), np.zeros((1, 3, 3)), 1, "disagree"),
             (np.ones(1), np.zeros((1, 2)), np.zeros((1, 2, 2)), 0,

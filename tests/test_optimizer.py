@@ -324,13 +324,18 @@ class TestSphereStep:
         """The rate lies in (0, 1]: the schedule never reaches 0, so a zero
         rate is rejected rather than copied through."""
         X = np.array([[1.0, 0.0]])
-        with pytest.raises(ValidationError, match="eta must lie in"):
+        with pytest.raises(
+            ValidationError, match=r"learning rate eta must be a real number in \(0, 1\], got 0.0$"
+        ):
             sphere_step(X, X, 0.0)
 
     def test_rate_outside_unit_interval_rejected(self):
         X = np.array([[1.0, 0.0]])
         for eta in (-0.1, 1.5, np.nan):
-            with pytest.raises(ValidationError, match="eta must lie in"):
+            with pytest.raises(
+                ValidationError,
+                match=rf"learning rate eta must be a real number in \(0, 1\], got {eta!r}$",
+            ):
                 sphere_step(X, X, eta)
 
     def test_gradient_shape_must_match(self):

@@ -36,6 +36,7 @@ def test_every_export_resolves():
 #: purpose.
 _PRIVATE_IMPORTS = {
     ("graphs", "matstore", "_real"),
+    ("io", "graphs", "_whole_numbers"),
     ("mixture", "matstore", "_real"),
     ("optimizer", "znorm", "_log_sum_exp"),
     ("optimizer", "znorm", "_operands"),

@@ -727,8 +727,12 @@ class TestInputChecks:
             (np.ones((2, 2)), ValidationError, "vector"),
             (np.array([1.0, 0.0]), NumericError, "nonpositive or non-finite"),
             (np.array([1.0, np.inf]), NumericError, "nonpositive or non-finite"),
+            (["1", "2"], ValidationError, "Z values must hold real numbers, got dtype <U1"),
+            ([True, True], ValidationError, "Z values must hold real numbers, got dtype bool"),
+            (np.array([1.0 + 1j, 2.0]), ValidationError,
+             "Z values must hold real numbers, got dtype complex128"),
         ],
-        ids=["not-vector", "nonpositive", "non-finite"],
+        ids=["not-vector", "nonpositive", "non-finite", "strings", "bools", "complex"],
     )
     def test_z_estimate_values_checked(self, values, error, match):
         with pytest.raises(error, match=match):
@@ -736,7 +740,7 @@ class TestInputChecks:
 
     def test_kernel_z_requires_keys(self):
         fmap = KernelFeatureMap.from_seed(3, 8, 0)
-        with pytest.raises(ValidationError, match="2-dimensional"):
+        with pytest.raises(ValidationError, match="Y must hold real numbers, got dtype object"):
             kernel_z(np.zeros((2, 3)), None, fmap, "performer")
 
     @pytest.mark.parametrize("method", ["exact", "performer", "rfa"])
